@@ -16,7 +16,7 @@
 
 use crate::generate::{generate, DagClass, DagShape};
 use crate::job::DagJob;
-use crate::portfolio::{data_home, DagClusterSpec, DagPortfolio};
+use crate::portfolio::{data_home, DagClusterSpec, DagPortfolio, PlacementPass};
 use mcs_infra::cluster::Cluster;
 use mcs_infra::machine::MachineId;
 use mcs_infra::resource::ResourceVector;
@@ -233,6 +233,8 @@ struct ReadyTask {
     job: u32,
     task: u32,
     ready_at: SimTime,
+    /// Fixed on arrival: every parent is placed by then.
+    data_home: Option<u32>,
 }
 
 /// The workflow engine as a simulation actor.
@@ -244,6 +246,9 @@ pub struct DagActor<'a, M = DagMsg> {
     portfolio: DagPortfolio,
     jobs: Vec<JobState>,
     ready: Vec<ReadyTask>,
+    /// Whether a task joined the ready queue or capacity freed since the
+    /// last placement pass; until then every ready task is known not to fit.
+    dirty: bool,
     rng: RngStream,
     edge_hook: Option<EdgeHook<'a, M>>,
     jobs_finished: u64,
@@ -319,6 +324,7 @@ impl<'a, M: MessageEnvelope<DagMsg>> DagActor<'a, M> {
             portfolio: DagPortfolio::standard(nodes_per_rack),
             jobs,
             ready: Vec::new(),
+            dirty: false,
             rng: rng.derive("dag-place"),
             edge_hook: None,
             cfg,
@@ -425,42 +431,40 @@ impl<'a, M: MessageEnvelope<DagMsg>> DagActor<'a, M> {
             "task_ready",
             &[("job", Field::U64(u64::from(job))), ("task", Field::U64(u64::from(task)))],
         );
-        self.ready.push(ReadyTask { job, task, ready_at: now });
+        let job_state = &self.jobs[job as usize];
+        let data_home = data_home(&job_state.dag, &job_state.placed_on, task as usize);
+        self.ready.push(ReadyTask { job, task, ready_at: now, data_home });
+        self.dirty = true;
     }
 
     /// Orders the ready queue (FCFS across workflows, each workflow's own
     /// policy within it) and places whatever fits right now.
+    ///
+    /// A clean queue skips the pass: every task left by the last one failed
+    /// to fit, and nothing has freed capacity or joined since.
     fn dispatch(&mut self, ctx: &mut Context<'_, M>) {
-        let Self { jobs, ready, portfolio, cluster, rng, .. } = self;
-        ready.sort_by(|a, b| {
-            a.job.cmp(&b.job).then_with(|| {
-                let policy = jobs[a.job as usize]
-                    .policy_idx
-                    .map(|i| portfolio.candidates()[i].as_ref())
-                    .expect("ready task in an unsubmitted job");
-                policy.compare(&ready_view(jobs, a), &ready_view(jobs, b))
-            })
-        });
-        let mut placements: Vec<(u32, u32, MachineId)> = Vec::new();
-        let mut i = 0;
-        while i < ready.len() {
-            let r = ready[i];
-            let policy_idx =
-                jobs[r.job as usize].policy_idx.expect("ready task in an unsubmitted job");
-            let policy = portfolio.candidates()[policy_idx].as_ref();
-            let v = ready_view(jobs, &r);
-            let req = *v.req;
-            let placed = policy
-                .select_machine(cluster, &v, rng)
-                .filter(|&mid| cluster.machine_mut(mid).try_allocate(&req));
-            if let Some(mid) = placed {
-                jobs[r.job as usize].placed_on[r.task as usize] = Some(mid);
-                placements.push((r.job, r.task, mid));
-                ready.remove(i);
-            } else {
-                i += 1;
-            }
+        if !std::mem::take(&mut self.dirty) {
+            return;
         }
+        let Self { jobs, ready, portfolio, cluster, rng, .. } = self;
+        let policy_of = |r: &ReadyTask| {
+            let i = jobs[r.job as usize].policy_idx.expect("ready task in an unsubmitted job");
+            portfolio.candidates()[i].as_ref()
+        };
+        ready.sort_by(|a, b| {
+            a.job
+                .cmp(&b.job)
+                .then_with(|| policy_of(a).compare(&ready_view(jobs, a), &ready_view(jobs, b)))
+        });
+        let mut pass = PlacementPass::default();
+        let mut placements: Vec<(u32, u32, MachineId)> = Vec::new();
+        ready.retain(|r| {
+            let placed = pass.place(policy_of(r), cluster, &ready_view(jobs, r), rng);
+            if let Some(mid) = placed {
+                placements.push((r.job, r.task, mid));
+            }
+            placed.is_none()
+        });
         for (job, task, mid) in placements {
             self.begin_task(ctx, job, task, mid);
         }
@@ -479,6 +483,7 @@ impl<'a, M: MessageEnvelope<DagMsg>> DagActor<'a, M> {
             ],
         );
         let job = &mut self.jobs[j as usize];
+        job.placed_on[t as usize] = Some(mid);
         let in_edges: Vec<usize> = job.dag.in_edges(t as usize).to_vec();
         let mut transfers: Vec<EdgeTransfer> = Vec::new();
         for ei in in_edges {
@@ -574,6 +579,7 @@ impl<'a, M: MessageEnvelope<DagMsg>> DagActor<'a, M> {
         job.remaining -= 1;
         let mid = job.placed_on[t as usize].expect("finished task was placed");
         self.cluster.machine_mut(mid).release(&job.reqs[t as usize]);
+        self.dirty = true;
         self.tasks_finished += 1;
         ctx.emit_fields(
             DAG_COMPONENT,
@@ -628,7 +634,7 @@ fn ready_view<'j>(jobs: &'j [JobState], r: &ReadyTask) -> QueuedTaskView<'j> {
         req: &job.reqs[t],
         deadline: None,
         rank: job.ranks[t],
-        data_home: data_home(&job.dag, &job.placed_on, t),
+        data_home: r.data_home,
     }
 }
 
@@ -641,7 +647,8 @@ impl<M: MessageEnvelope<DagMsg>> Actor<M> for DagActor<'_, M> {
             DagMsg::TaskDone { job, task } => self.on_task_done(ctx, job, task),
             DagMsg::EdgeDone { job, edge } => self.on_edge_done(ctx, job, edge),
         }
-        // A placement pass after every event, like the RMS scheduler.
+        // A placement pass after every event, like the RMS scheduler; it
+        // returns at once unless the event readied a task or freed capacity.
         self.dispatch(ctx);
     }
 }

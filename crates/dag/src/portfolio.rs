@@ -69,46 +69,42 @@ pub fn lookahead_makespan(
         dag.tasks().iter().map(|t| ResourceVector::new(t.cores, t.memory_gb)).collect();
     let mut deps_left: Vec<usize> = (0..n).map(|t| dag.in_edges(t).len()).collect();
     let mut placed_on: Vec<Option<MachineId>> = vec![None; n];
-    let mut ready: Vec<(usize, f64)> =
-        (0..n).filter(|&t| deps_left[t] == 0).map(|t| (t, 0.0)).collect();
+    let mut ready: Vec<LookaheadTask> = (0..n)
+        .filter(|&t| deps_left[t] == 0)
+        .map(|t| LookaheadTask { task: t, ready_at: 0.0, data_home: None })
+        .collect();
     let mut running: Vec<(f64, usize, MachineId)> = Vec::new();
     let mut now = 0.0f64;
     let mut makespan = 0.0f64;
     let mut done = 0usize;
     while done < n {
         // Placement pass in policy order.
-        ready.sort_by(|a, b| {
-            policy.compare(&lookahead_view(dag, &reqs, &ranks, &placed_on, a), &lookahead_view(dag, &reqs, &ranks, &placed_on, b))
+        let view = |r: &LookaheadTask| r.view(dag, &reqs, &ranks);
+        ready.sort_by(|a, b| policy.compare(&view(a), &view(b)));
+        let mut pass = PlacementPass::default();
+        ready.retain(|r| {
+            let t = r.task;
+            let Some(mid) = pass.place(policy, &mut cluster, &view(r), &mut rng) else {
+                return true;
+            };
+            let xfer = dag
+                .in_edges(t)
+                .iter()
+                .map(|&ei| {
+                    let e = &dag.edges()[ei];
+                    if placed_on[e.from] == Some(mid) {
+                        0.0
+                    } else {
+                        e.bytes as f64 / bw
+                    }
+                })
+                .fold(0.0, f64::max);
+            let speed = cluster.machine(mid).speedup_for(&reqs[t]).max(1e-9);
+            let exec = dag.tasks()[t].work / (reqs[t].cpu_cores.max(1e-9) * speed);
+            placed_on[t] = Some(mid);
+            running.push((now.max(r.ready_at) + xfer + exec, t, mid));
+            false
         });
-        let mut i = 0;
-        while i < ready.len() {
-            let (t, ready_at) = ready[i];
-            let view = lookahead_view(dag, &reqs, &ranks, &placed_on, &(t, ready_at));
-            let placed = policy
-                .select_machine(&cluster, &view, &mut rng)
-                .filter(|&mid| cluster.machine_mut(mid).try_allocate(&reqs[t]));
-            if let Some(mid) = placed {
-                let xfer = dag
-                    .in_edges(t)
-                    .iter()
-                    .map(|&ei| {
-                        let e = &dag.edges()[ei];
-                        if placed_on[e.from] == Some(mid) {
-                            0.0
-                        } else {
-                            e.bytes as f64 / bw
-                        }
-                    })
-                    .fold(0.0, f64::max);
-                let speed = cluster.machine(mid).speedup_for(&reqs[t]).max(1e-9);
-                let exec = dag.tasks()[t].work / (reqs[t].cpu_cores.max(1e-9) * speed);
-                placed_on[t] = Some(mid);
-                running.push((now.max(ready_at) + xfer + exec, t, mid));
-                ready.remove(i);
-            } else {
-                i += 1;
-            }
-        }
         if running.is_empty() {
             return f64::INFINITY; // some ready task can never be placed
         }
@@ -132,30 +128,40 @@ pub fn lookahead_makespan(
             let c = dag.edges()[ei].to;
             deps_left[c] -= 1;
             if deps_left[c] == 0 {
-                ready.push((c, now));
+                let data_home = data_home(dag, &placed_on, c);
+                ready.push(LookaheadTask { task: c, ready_at: now, data_home });
             }
         }
     }
     makespan
 }
 
-fn lookahead_view<'a>(
-    dag: &DagJob,
-    reqs: &'a [ResourceVector],
-    ranks: &[f64],
-    placed_on: &[Option<MachineId>],
-    entry: &(usize, f64),
-) -> QueuedTaskView<'a> {
-    let (t, ready_at) = *entry;
-    QueuedTaskView {
-        id: TaskId(t as u64),
-        submit: SimTime::ZERO,
-        ready_at: SimTime::ZERO + SimDuration::from_secs_f64(ready_at.max(0.0)),
-        demand_left: dag.tasks()[t].work,
-        req: &reqs[t],
-        deadline: None,
-        rank: ranks[t],
-        data_home: data_home(dag, placed_on, t),
+/// One ready task of the lookahead, its `data_home` fixed on arrival:
+/// every parent is placed by then.
+struct LookaheadTask {
+    task: usize,
+    ready_at: f64,
+    data_home: Option<u32>,
+}
+
+impl LookaheadTask {
+    fn view<'a>(
+        &self,
+        dag: &DagJob,
+        reqs: &'a [ResourceVector],
+        ranks: &[f64],
+    ) -> QueuedTaskView<'a> {
+        let t = self.task;
+        QueuedTaskView {
+            id: TaskId(t as u64),
+            submit: SimTime::ZERO,
+            ready_at: SimTime::ZERO + SimDuration::from_secs_f64(self.ready_at.max(0.0)),
+            demand_left: dag.tasks()[t].work,
+            req: &reqs[t],
+            deadline: None,
+            rank: ranks[t],
+            data_home: self.data_home,
+        }
     }
 }
 
@@ -170,6 +176,64 @@ pub fn data_home(dag: &DagJob, placed_on: &[Option<MachineId>], task: usize) -> 
         })
         .max()
         .map(|(_, _, mid)| mid.0)
+}
+
+/// One placement pass over a ready queue, shared by the lookahead and
+/// [`DagActor`](crate::actor::DagActor) so the skip rule lives in one place.
+///
+/// The pass remembers every request that found no machine. Within a pass
+/// the cluster only loses capacity, so a later request at least as large
+/// in every dimension cannot fit either, and by the
+/// [`SchedulingPolicy::select_machine`] contract probing it would return
+/// `None` and draw nothing: skipping the probe is exact, whichever policy
+/// would have made it. The comparison is exact too, with no `fits_in`
+/// epsilon, and a request is remembered only when no machine was offered,
+/// never when the offered machine's allocation failed.
+#[derive(Default)]
+pub(crate) struct PlacementPass {
+    blocked: Vec<ResourceVector>,
+}
+
+impl PlacementPass {
+    /// Places `task` where `policy` chooses and allocates its request
+    /// there; `None` when it does not fit now.
+    pub(crate) fn place(
+        &mut self,
+        policy: &dyn SchedulingPolicy,
+        cluster: &mut Cluster,
+        task: &QueuedTaskView<'_>,
+        rng: &mut RngStream,
+    ) -> Option<MachineId> {
+        let req = task.req;
+        if self.blocked.iter().any(|b| at_least(req, b)) {
+            debug_assert!(
+                {
+                    let mut probe = rng.clone();
+                    policy.select_machine(cluster, task, &mut probe).is_none()
+                        && probe.next_u64() == rng.clone().next_u64()
+                },
+                "{} placed or drew for a request a smaller one could not fit",
+                policy.name()
+            );
+            return None;
+        }
+        match policy.select_machine(cluster, task, rng) {
+            Some(mid) => cluster.machine_mut(mid).try_allocate(req).then_some(mid),
+            None => {
+                self.blocked.push(*req);
+                None
+            }
+        }
+    }
+}
+
+/// Whether `a` asks for at least as much as `b` in every dimension.
+fn at_least(a: &ResourceVector, b: &ResourceVector) -> bool {
+    a.cpu_cores >= b.cpu_cores
+        && a.memory_gb >= b.memory_gb
+        && a.accelerators >= b.accelerators
+        && a.storage_gb >= b.storage_gb
+        && a.network_gbps >= b.network_gbps
 }
 
 /// Simulate-ahead portfolio over workflow scheduling policies, one cached

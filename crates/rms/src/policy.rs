@@ -61,6 +61,13 @@ pub trait SchedulingPolicy {
     fn compare(&self, a: &QueuedTaskView<'_>, b: &QueuedTaskView<'_>) -> Ordering;
 
     /// Picks a machine for `task`, or `None` when nothing feasible exists.
+    ///
+    /// Contract: returns `None` only when no machine fits `task.req` (as
+    /// [`Cluster::feasible_machines`] sees it), and draws nothing from `rng`
+    /// when it does. Placement passes rely on this to skip work: a ready
+    /// queue that failed to place is not re-probed until capacity frees or
+    /// a task joins, and within a pass a request at least as large as one
+    /// that found no machine is not probed at all.
     fn select_machine(
         &self,
         cluster: &Cluster,
@@ -316,6 +323,37 @@ mod tests {
         cluster.machine_mut(MachineId(3)).try_allocate(&ResourceVector::new(4.0, 4.0));
         let chosen = policy.select_machine(&cluster, &task, &mut rng).unwrap();
         assert!(chosen == MachineId(0) || chosen == MachineId(1));
+    }
+
+    #[test]
+    fn full_cluster_yields_none_without_drawing() {
+        let mut cluster = Cluster::homogeneous(
+            ClusterId(0),
+            "c",
+            MachineSpec::commodity("std-4", 4.0, 16.0),
+            4,
+        );
+        for m in 0..4 {
+            assert!(cluster.machine_mut(MachineId(m)).try_allocate(&ResourceVector::new(3.0, 8.0)));
+        }
+        let req = ResourceVector::new(2.0, 2.0);
+        let task = QueuedTaskView { data_home: Some(1), ..view(0, 10.0, 5.0, &req) };
+        let mut policies: Vec<(&str, Box<dyn SchedulingPolicy>)> = AllocationPolicy::ALL
+            .iter()
+            .map(|&allocation| {
+                let config = SchedulerConfig { allocation, ..Default::default() };
+                (allocation.name(), Box::new(config) as Box<dyn SchedulingPolicy>)
+            })
+            .collect();
+        policies.push(("heft", Box::new(HeftPolicy)));
+        policies.push(("greedy", Box::new(GreedyReadyPolicy)));
+        policies.push(("locality", Box::new(LocalityFirstPolicy { nodes_per_rack: 2 })));
+        for (name, policy) in &policies {
+            let mut rng = RngStream::new(9, "contract");
+            let mut untouched = rng.clone();
+            assert_eq!(policy.select_machine(&cluster, &task, &mut rng), None, "{name}");
+            assert_eq!(rng.next_u64(), untouched.next_u64(), "{name} drew from the rng");
+        }
     }
 
     #[test]

@@ -8,6 +8,10 @@ cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Benchmark gate: the benchmark package's own tests, including the pinned
+# per-workload outcome digests at seed 42.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 
@@ -51,4 +55,4 @@ if [ "$allow_count" -gt "$allow_budget" ]; then
     exit 1
 fi
 
-echo "verify: OK (offline build + tests + clippy + par-aware determinism diffs + invariant gate + bench smoke + allow-lint budget)"
+echo "verify: OK (offline build + tests + clippy + benchmark tests + par-aware determinism diffs + invariant gate + bench smoke + allow-lint budget)"

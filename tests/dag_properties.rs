@@ -153,3 +153,125 @@ fn portfolio_meets_or_beats_every_fixed_policy_at_seed_42() {
         );
     }
 }
+
+/// FNV-1a over a rendered trace, via simcore's deterministic hasher.
+fn trace_digest(trace: &TraceBus) -> u64 {
+    use std::hash::Hasher;
+    let mut h = mcs_simcore::intern::FastHasher::default();
+    h.write(trace.to_json_string().as_bytes());
+    h.finish()
+}
+
+/// Runs a standalone `DagActor` on a saturated 8-machine pool — 40 mixed
+/// 16-wide workflows, one every 5 s, so the ready queue backs up far past
+/// the 32 task slots — and digests its trace.
+fn saturated_dag_digest(policy: DagPolicy, seed: u64) -> u64 {
+    use mcs::simcore::engine::Simulation;
+    let cfg = DagConfig {
+        jobs: 40,
+        width: 16,
+        submit_interval_secs: 5.0,
+        policy,
+        ..DagConfig::default()
+    };
+    let mut rng = RngStream::new(seed, "dag");
+    let mut actor: DagActor<'_, DagMsg> = DagActor::new(8, cfg, &mut rng);
+    let mut sim: Simulation<'_, DagMsg> = Simulation::new(seed);
+    let id = sim.add_actor(&mut actor);
+    sim.schedule(SimTime::ZERO, id, DagMsg::Start);
+    sim.run();
+    let digest = trace_digest(sim.trace());
+    drop(sim);
+    assert_eq!(actor.jobs_finished(), 40, "{} seed {seed}", policy.name());
+    digest
+}
+
+/// A hand-built fan-out whose tasks ask for different, partly incomparable
+/// core/memory footprints, so a placement pass sees requests that are
+/// larger in one dimension and smaller in the other.
+fn mixed_request_dag() -> DagJob {
+    let mut tasks = vec![DagTask { work: 30.0, cores: 1.0, memory_gb: 1.0 }];
+    let footprints = [
+        (4.0, 8.0),
+        (6.0, 4.0),
+        (2.0, 24.0),
+        (8.0, 16.0),
+        (3.0, 3.0),
+        (5.0, 30.0),
+        (1.0, 1.0),
+        (7.0, 7.0),
+        (2.0, 2.0),
+        (6.0, 20.0),
+        (1.5, 12.0),
+        (4.0, 4.0),
+    ];
+    for (i, &(cores, memory_gb)) in footprints.iter().enumerate() {
+        tasks.push(DagTask { work: 40.0 + 15.0 * i as f64, cores, memory_gb });
+    }
+    tasks.push(DagTask { work: 20.0, cores: 2.0, memory_gb: 2.0 });
+    let sink = tasks.len() - 1;
+    let mut edges = Vec::new();
+    for t in 1..sink {
+        edges.push(DagEdge { from: 0, to: t, bytes: (t as u64) << 22 });
+        edges.push(DagEdge { from: t, to: sink, bytes: (sink as u64 - t as u64) << 21 });
+    }
+    DagJob::new(tasks, edges).expect("valid fan-out")
+}
+
+/// Every predicted makespan, as bits: each `DagClass` at width 16, then the
+/// mixed-request fan-out, under each standard portfolio candidate.
+fn pinned_lookahead_bits() -> Vec<u64> {
+    let spec = DagClusterSpec { machines: 8, cores_per_machine: 8.0, memory_per_machine_gb: 32.0 };
+    let shape =
+        DagShape { width: 16, work: 120.0, cores: 2.0, memory_gb: 4.0, edge_bytes: 32 << 20 };
+    let bw = 100.0 * 1024.0 * 1024.0;
+    let mut rng = RngStream::new(42, "dag-pin");
+    let mut cases: Vec<(DagJob, DagClusterSpec)> =
+        DagClass::ALL.iter().map(|&c| (generate(c, &shape, &mut rng), spec)).collect();
+    // Two machines, so the fan-out's footprints contend for room.
+    cases.push((mixed_request_dag(), DagClusterSpec { machines: 2, ..spec }));
+    let portfolio = DagPortfolio::standard(4);
+    let mut bits = Vec::new();
+    for (dag, spec) in &cases {
+        for policy in portfolio.candidates() {
+            bits.push(lookahead_makespan(dag, spec, bw, policy.as_ref()).to_bits());
+        }
+    }
+    bits
+}
+
+/// Placement passes must stay exactly as they were when they only did work
+/// that mattered: these traces and predicted makespans were captured from
+/// the pass that re-sorted and re-probed the whole ready queue after every
+/// message, and any change to what gets placed where, or when, moves them.
+#[test]
+fn dag_dispatch_and_lookahead_match_pinned_values() {
+    const DIGESTS: [(DagPolicy, u64, u64); 8] = [
+        (DagPolicy::Heft, 3, 3552793705539526887),
+        (DagPolicy::Heft, 42, 8445725738016366576),
+        (DagPolicy::Greedy, 3, 13299397750361149006),
+        (DagPolicy::Greedy, 42, 12862776299424536192),
+        (DagPolicy::Locality, 3, 5379637570310653382),
+        (DagPolicy::Locality, 42, 11210776220047309941),
+        (DagPolicy::Portfolio, 3, 12614467827541200826),
+        (DagPolicy::Portfolio, 42, 2582246096213658823),
+    ];
+    const LOOKAHEAD_BITS: [u64; 15] = [
+        // chain: heft, greedy, locality
+        4651380130579084292, 4651380130579084292, 4651380130579084292,
+        // fork_join: heft, greedy, locality
+        4640214328832378864, 4640227403551017599, 4640214250458285409,
+        // montage: heft, greedy, locality
+        4646010361484383788, 4646010557169636907, 4646006915632961067,
+        // ligo: heft, greedy, locality
+        4644858341409197967, 4644863818270124329, 4644858249133167790,
+        // mixed fan-out: heft, greedy, locality
+        4640417434262193471, 4640712279300297882, 4640416730574751694,
+    ];
+    let digests: Vec<(DagPolicy, u64, u64)> = DIGESTS
+        .iter()
+        .map(|&(policy, seed, _)| (policy, seed, saturated_dag_digest(policy, seed)))
+        .collect();
+    assert_eq!(digests, DIGESTS, "standalone DagActor traces drifted");
+    assert_eq!(pinned_lookahead_bits(), LOOKAHEAD_BITS, "lookahead makespans drifted");
+}
