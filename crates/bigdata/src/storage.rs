@@ -169,7 +169,9 @@ impl BlockStore {
     /// number of new replicas created.
     pub fn re_replicate(&mut self) -> usize {
         let live = self.live_nodes();
-        let blocks: Vec<BlockId> = self.placements.keys().copied().collect();
+        // Fixed block order: one RNG draw per block must not follow hash order.
+        let mut blocks: Vec<BlockId> = self.placements.keys().copied().collect();
+        blocks.sort_unstable();
         let mut created = 0;
         for b in blocks {
             loop {

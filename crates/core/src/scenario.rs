@@ -513,8 +513,19 @@ impl ScenarioConfig {
         if self.horizon == SimTime::ZERO {
             return Err(McsError::invalid_config("horizon", "must be positive"));
         }
+        if let Some(batch) = &self.batch {
+            if batch.policy_interval.is_zero() {
+                return Err(McsError::invalid_config("batch.policy_interval", "must be positive"));
+            }
+        }
         if let Some(faas) = &self.faas {
-            finite_non_negative("faas.arrival_rate", faas.arrival_rate)?;
+            finite_positive("faas.arrival_rate", faas.arrival_rate)?;
+            if faas.service.scaling_interval.is_zero() {
+                return Err(McsError::invalid_config(
+                    "faas.service.scaling_interval",
+                    "must be positive",
+                ));
+            }
         }
         if let Some(failure) = &self.failure {
             finite_positive("failure.mtbf_secs", failure.mtbf_secs)?;
@@ -539,6 +550,12 @@ impl ScenarioConfig {
         if let Some(bigdata) = &self.bigdata {
             if bigdata.block_mb == 0 {
                 return Err(McsError::invalid_config("bigdata.block_mb", "must be positive"));
+            }
+            if bigdata.replication > self.machines {
+                return Err(McsError::invalid_config(
+                    "bigdata.replication",
+                    "must not exceed the fleet size",
+                ));
             }
             finite_positive("bigdata.shuffle_bandwidth_mbs", bigdata.shuffle_bandwidth_mbs)?;
             finite_non_negative("bigdata.submit_interval_secs", bigdata.submit_interval_secs)?;
@@ -2120,6 +2137,33 @@ mod tests {
                 "faas.arrival_rate",
                 ScenarioConfig::default()
                     .with_faas(FaasConfig { arrival_rate: -1.0, ..FaasConfig::default() }),
+            ),
+            (
+                "faas.arrival_rate",
+                ScenarioConfig::default()
+                    .with_faas(FaasConfig { arrival_rate: 0.0, ..FaasConfig::default() }),
+            ),
+            (
+                "faas.service.scaling_interval",
+                ScenarioConfig::default().with_faas(FaasConfig {
+                    service: ServiceConfig {
+                        scaling_interval: SimDuration::ZERO,
+                        ..FaasConfig::default().service
+                    },
+                    ..FaasConfig::default()
+                }),
+            ),
+            (
+                "batch.policy_interval",
+                ScenarioConfig::default().with_batch(BatchConfig {
+                    policy_interval: SimDuration::ZERO,
+                    ..BatchConfig::default()
+                }),
+            ),
+            (
+                "bigdata.replication",
+                ScenarioConfig::bare(1, SimTime::from_secs(3600), 2)
+                    .with_bigdata(BigdataConfig::default()),
             ),
             (
                 "failure.mtbf_secs",

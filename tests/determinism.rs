@@ -89,3 +89,23 @@ fn virtual_world_is_reproducible() {
     };
     assert_eq!(run(), run());
 }
+
+#[test]
+fn bigdata_re_replication_under_failures_is_reproducible() {
+    // Crashes make the block store re-replicate, drawing one RNG value per
+    // under-replicated block; the draw order must not follow hash order.
+    let run = || {
+        let cfg = ScenarioConfig::bare(54, SimTime::from_secs(1800), 16)
+            .with_bigdata(BigdataConfig {
+                jobs: 3,
+                submit_interval_secs: 60.0,
+                ..BigdataConfig::default()
+            })
+            .with_failures(FailureConfig { mtbf_secs: 1800.0, ..FailureConfig::default() });
+        Scenario::new(cfg).run().trace.to_json_string()
+    };
+    let first = run();
+    for rerun in 1..10 {
+        assert!(run() == first, "rerun {rerun} diverged from the first run");
+    }
+}
