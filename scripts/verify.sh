@@ -19,11 +19,14 @@ trap 'rm -rf "$tmpdir"' EXIT
 # network-contention experiments must render byte-identical reports across
 # two runs at the same seed — and across parallel-sweep widths, since
 # mcs-simcore::par merges fan-out results by input index, never by
-# completion order.
+# completion order. The serial report must also match its committed
+# snapshot in tests/reports/, so a behaviour change cannot slip through a
+# refactor unnoticed (stdout carries no wall time).
 for exp in ecosystem_composed ecosystem_full resilience_ablation locality_contention chaos_sweep scale_stress dag_portfolio; do
     MCS_PAR_WORKERS=1 "./target/release/$exp" 42 > "$tmpdir/${exp}_w1.txt"
     MCS_PAR_WORKERS=4 "./target/release/$exp" 42 > "$tmpdir/${exp}_w4.txt"
     MCS_PAR_WORKERS=4 "./target/release/$exp" 42 > "$tmpdir/${exp}_w4b.txt"
+    diff "tests/reports/${exp}.txt" "$tmpdir/${exp}_w1.txt"
     diff "$tmpdir/${exp}_w1.txt" "$tmpdir/${exp}_w4.txt"
     diff "$tmpdir/${exp}_w4.txt" "$tmpdir/${exp}_w4b.txt"
 done
@@ -55,4 +58,4 @@ if [ "$allow_count" -gt "$allow_budget" ]; then
     exit 1
 fi
 
-echo "verify: OK (offline build + tests + clippy + benchmark tests + par-aware determinism diffs + invariant gate + bench smoke + allow-lint budget)"
+echo "verify: OK (offline build + tests + clippy + benchmark tests + par-aware determinism diffs + report snapshots + invariant gate + bench smoke + allow-lint budget)"
