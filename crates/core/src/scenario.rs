@@ -34,13 +34,13 @@ use mcs_failure::inject::{FailureEvent, FailureInjector, InjectorMsg};
 use mcs_failure::model::{FailureModel, Fault, FaultKind, FaultMix, SpaceCorrelatedFailures};
 use mcs_dag::actor::{DagActor, DagMsg};
 use mcs_gaming::actor::{GamingMsg, SyncConfig as GamingSyncConfig, WorldActor};
-use mcs_net::actor::{FlowOwner, FlowTag, NetActor, NetFault, NetMsg, TransferReq};
+use mcs_net::actor::{FlowDone, FlowOwner, FlowTag, NetActor, NetFault, NetMsg, TransferReq};
 use mcs_net::topology::NetTopology;
 use mcs_graph::actor::{BspActor, GraphMsg};
 use mcs_infra::prelude::{Cluster, ClusterId, MachineSpec};
 use mcs_rms::portfolio::{default_portfolio, Objective, PortfolioSelector};
 use mcs_rms::scheduler::{ClusterScheduler, RmsMsg, ScheduleOutcome, SchedulerConfig};
-use mcs_simcore::engine::{ActorId, MessageEnvelope, Simulation};
+use mcs_simcore::engine::{Actor, ActorId, Context, MessageEnvelope, Simulation};
 use mcs_simcore::error::McsError;
 use mcs_simcore::resilience::ResilienceConfig;
 use mcs_simcore::rng::RngStream;
@@ -859,6 +859,8 @@ impl Scenario {
     /// Runs the composed simulation to its horizon and returns the outcome.
     pub fn run(mut self) -> ScenarioOutcome {
         let cfg = self.config.clone();
+        let peers = Peers::of(&cfg);
+        let machines = cfg.machines as u32;
 
         // Per-component RNG streams, all derived from the master seed. The
         // streams (and their draw order) are identical whether a subsystem
@@ -867,12 +869,22 @@ impl Scenario {
         let mut failure_rng = RngStream::new(cfg.seed, "failures");
 
         // Subsystem state (owned here; actors borrow it below).
-        let mut batch_jobs = cfg.batch.as_ref().map(|batch| {
-            BatchWorkloadGenerator::new(BatchWorkloadConfig::default()).generate(
+        let mut batch = cfg.batch.as_ref().map(|batch| {
+            let jobs = BatchWorkloadGenerator::new(BatchWorkloadConfig::default()).generate(
                 cfg.horizon,
                 batch.jobs,
                 &mut workload_rng,
-            )
+            );
+            let cluster = Cluster::homogeneous(
+                ClusterId(0),
+                "batch",
+                MachineSpec::commodity("std-8", 8.0, 32.0),
+                machines,
+            );
+            let scheduler = ClusterScheduler::new(cluster, SchedulerConfig::default(), cfg.seed);
+            let selector =
+                PortfolioSelector::new(default_portfolio(), Objective::Makespan, cfg.seed);
+            (batch.policy_interval, jobs, scheduler, selector)
         });
 
         let mut outages_generated = 0;
@@ -898,123 +910,54 @@ impl Scenario {
         });
 
         let mut platform = cfg.faas.as_ref().map(|faas| {
-            let mut platform =
-                FaasPlatform::new(KeepAlivePolicy::Fixed(faas.keep_alive), cfg.seed);
+            let mut platform = FaasPlatform::new(KeepAlivePolicy::Fixed(faas.keep_alive), cfg.seed);
             for spec in &self.functions {
                 platform.deploy(spec.clone());
             }
             platform
         });
-        let function_names: Vec<String> =
-            self.functions.iter().map(|f| f.name.clone()).collect();
-
-        let mut scheduler = cfg.batch.as_ref().map(|_| {
-            let cluster = Cluster::homogeneous(
-                ClusterId(0),
-                "batch",
-                MachineSpec::commodity("std-8", 8.0, 32.0),
-                cfg.machines as u32,
-            );
-            ClusterScheduler::new(cluster, SchedulerConfig::default(), cfg.seed)
-        });
-        let mut selector = cfg
-            .batch
-            .as_ref()
-            .map(|_| PortfolioSelector::new(default_portfolio(), Objective::Makespan, cfg.seed));
+        let functions: Vec<String> = self.functions.iter().map(|f| f.name.clone()).collect();
         let mut process = cfg.faas.as_ref().map(|faas| Poisson::new(faas.arrival_rate));
 
-        // Actor ids are assigned in registration order; fix that order here
-        // (skipping absent subsystems) so cross-actor callbacks can address
-        // their peers up front. The legacy quintet keeps ids 0..=4.
-        let mut next_index = 0usize;
-        let mut alloc = |present: bool| {
-            present.then(|| {
-                let id = ActorId::from_index(next_index);
-                next_index += 1;
-                id
-            })
-        };
-        let arrival_id = alloc(cfg.faas.is_some());
-        let scheduler_id = alloc(cfg.batch.is_some());
-        let governor_id = alloc(cfg.faas.is_some());
-        let faas_id = alloc(cfg.faas.is_some());
-        let injector_id = alloc(cfg.failure.is_some());
-        let bigdata_id = alloc(cfg.bigdata.is_some());
-        let graph_id = alloc(cfg.graph.is_some());
-        let gaming_id = alloc(cfg.gaming.is_some());
-        let dag_id = alloc(cfg.dag.is_some());
-        // The network actor registers last so attaching it never renumbers
-        // the tenants (and `network: None` keeps the legacy id layout).
-        let net_id = alloc(cfg.network.is_some());
-
-        let mut arrival = process.as_mut().map(|process| {
-            let faas = cfg.faas.as_ref().expect("faas config present with process");
-            let faas_id = faas_id.expect("faas id allocated");
-            let function_names = function_names.clone();
-            // With a network attached, the invocation payload travels as a
-            // flow from the caller's node to the platform front-end (node 0);
-            // the net completion router issues the Invoke on delivery.
-            let payload_bytes =
-                cfg.network.as_ref().map_or(0, |net| net.faas_payload_bytes.max(1));
-            let machines = cfg.machines as u32;
+        // With a network attached, the invocation payload travels as a flow
+        // from the caller's node to the platform front-end (node 0); the
+        // flow router issues the Invoke on delivery.
+        let mut arrival = cfg.faas.as_ref().zip(process.as_mut()).map(|(faas, process)| {
+            let functions = functions.clone();
+            let payload = cfg.network.as_ref().map_or(0, |net| net.faas_payload_bytes);
             ArrivalActor::new(
                 process,
                 RngStream::new(cfg.seed, "arrivals"),
                 cfg.horizon,
                 faas.max_arrivals,
                 move |ctx, index| {
-                    if let Some(id) = net_id {
-                        ctx.send(
-                            id,
-                            SimDuration::ZERO,
-                            EcosystemMsg::Net(NetMsg::Transfer(TransferReq {
-                                src: index as u32 % machines,
-                                dst: 0,
-                                bytes: payload_bytes,
-                                tag: FlowTag { owner: FlowOwner::Faas, id: index as u64 },
-                            })),
-                        );
+                    if peers.net.is_some() {
+                        let tag = FlowTag { owner: FlowOwner::Faas, id: index as u64 };
+                        transfer(ctx, peers.net, index as u32 % machines, 0, payload, tag);
                     } else {
-                        let function = function_names[index % function_names.len()].clone();
-                        ctx.send(
-                            faas_id,
-                            SimDuration::ZERO,
-                            EcosystemMsg::Faas(FaasMsg::Invoke { function }),
-                        );
+                        send(ctx, peers.faas, invoke(&functions, index));
                     }
                 },
             )
         });
 
-        let mut scheduler_actor = scheduler.as_mut().map(|scheduler| {
-            let batch = cfg.batch.as_ref().expect("batch config present with scheduler");
-            let jobs = batch_jobs.take().expect("batch jobs generated");
-            let selector = selector.as_mut().expect("selector present with scheduler");
+        let mut scheduler_actor = batch.as_mut().map(|(interval, jobs, scheduler, selector)| {
             let mut actor = scheduler
-                .actor(jobs, cfg.horizon)
-                .with_selector(selector, batch.policy_interval);
+                .actor(std::mem::take(jobs), cfg.horizon)
+                .with_selector(selector, *interval);
             if let Some(restart) = cfg.resilience.restart {
                 actor = actor.with_restart(restart);
             }
             // With a network attached, a killed task's checkpoint image is
             // fetched over the fabric before it re-enters the queue, so
             // recovery time tracks contention instead of a fixed backoff.
-            if let (Some(nid), Some(net)) = (net_id, cfg.network.as_ref()) {
-                let bytes = (net.rms_checkpoint_mb * MIB).max(1);
-                let machines = cfg.machines as u32;
+            if let Some(net) = cfg.network.as_ref() {
+                let bytes = net.rms_checkpoint_mb * MIB;
                 actor = actor.with_checkpoint_hook(move |ctx, task, attempt| {
-                    let src = task as u32 % machines;
-                    let dst = (task as u32 + 1 + attempt) % machines;
-                    ctx.send(
-                        nid,
-                        SimDuration::ZERO,
-                        EcosystemMsg::Net(NetMsg::Transfer(TransferReq {
-                            src,
-                            dst,
-                            bytes,
-                            tag: FlowTag { owner: FlowOwner::Rms, id: task as u64 },
-                        })),
-                    );
+                    let (src, dst) =
+                        (task as u32 % machines, (task as u32 + 1 + attempt) % machines);
+                    let tag = FlowTag { owner: FlowOwner::Rms, id: task as u64 };
+                    transfer(ctx, peers.net, src, dst, bytes, tag);
                 });
             }
             actor
@@ -1022,242 +965,90 @@ impl Scenario {
 
         let autoscaler = self.autoscaler.as_mut();
         let mut governor = cfg.faas.as_ref().map(|faas| {
-            let faas_id = faas_id.expect("faas id allocated");
-            let mut governor =
-                GovernorActor::new(autoscaler, faas.service, move |ctx, delta| {
-                    ctx.send(
-                        faas_id,
-                        SimDuration::ZERO,
-                        EcosystemMsg::Faas(FaasMsg::Scale(delta)),
-                    );
-                });
-            if cfg.resilience.shedder.is_some() {
-                governor = governor.with_shedding(move |ctx, on| {
-                    ctx.send(
-                        faas_id,
-                        SimDuration::ZERO,
-                        EcosystemMsg::Faas(FaasMsg::SetShedding(on)),
-                    );
-                });
+            let governor = GovernorActor::new(autoscaler, faas.service, move |ctx, delta| {
+                send(ctx, peers.faas, FaasMsg::Scale(delta));
+            });
+            match cfg.resilience.shedder {
+                Some(_) => governor.with_shedding(move |ctx, on| {
+                    send(ctx, peers.faas, FaasMsg::SetShedding(on));
+                }),
+                None => governor,
             }
-            governor
         });
 
-        let mut faas_actor = platform.as_mut().map(|platform| {
-            let faas = cfg.faas.as_ref().expect("faas config present with platform");
-            let governor_id = governor_id.expect("governor id allocated");
+        let mut faas_actor = cfg.faas.as_ref().zip(platform.as_mut()).map(|(faas, platform)| {
             let mut actor = FaasActor::new(platform)
                 .with_capacity(faas.initial_capacity)
                 .with_resilience(cfg.resilience)
                 .with_observer(faas.service.scaling_interval, move |ctx, demand, supply| {
-                    ctx.send(
-                        governor_id,
-                        SimDuration::ZERO,
-                        EcosystemMsg::Governor(GovernorMsg::Observe { demand, supply }),
-                    );
+                    send(ctx, peers.governor, GovernorMsg::Observe { demand, supply });
                 });
             if let Some(congestion) = faas.congestion {
                 actor = actor.with_congestion(congestion);
             }
             // Response payloads ride the fabric back to the callers; they
             // are fire-and-forget but still contend for bandwidth.
-            if let (Some(nid), Some(net)) = (net_id, cfg.network.as_ref()) {
-                if net.faas_response_bytes > 0 {
-                    let bytes = net.faas_response_bytes;
-                    let machines = cfg.machines as u32;
-                    let mut seq = 0u64;
-                    actor = actor.with_response_hook(move |ctx, _latency_secs| {
-                        let dst = if machines > 1 {
-                            1 + (seq % u64::from(machines - 1)) as u32
-                        } else {
-                            0
-                        };
-                        ctx.send(
-                            nid,
-                            SimDuration::ZERO,
-                            EcosystemMsg::Net(NetMsg::Transfer(TransferReq {
-                                src: 0,
-                                dst,
-                                bytes,
-                                tag: FlowTag { owner: FlowOwner::FaasResp, id: seq },
-                            })),
-                        );
-                        seq += 1;
-                    });
-                }
+            if let Some(net) = cfg.network.as_ref().filter(|net| net.faas_response_bytes > 0) {
+                let bytes = net.faas_response_bytes;
+                let mut seq = 0u64;
+                actor = actor.with_response_hook(move |ctx, _latency_secs| {
+                    let tag = FlowTag { owner: FlowOwner::FaasResp, id: seq };
+                    transfer(ctx, peers.net, 0, worker(seq, machines), bytes, tag);
+                    seq += 1;
+                });
             }
             actor
         });
 
         // Crash faults strike every tenant of the shared fleet — the batch
         // cluster, the warm pool, and the bigdata/graph/gaming actors; the
-        // other kinds open service-level fault windows on the FaaS platform.
-        let mut injector = faults.map(|faults| {
-            let failure = cfg.failure.as_ref().expect("failure config present with faults");
+        // other kinds open service-level fault windows. With a network
+        // attached, partition and gray windows strike the fabric itself (cut
+        // and degraded access links); without one they fall back to FaaS
+        // service-fault windows.
+        let mut injector = cfg.failure.as_ref().zip(faults).map(|(failure, faults)| {
             let kill_fraction = failure.kill_fraction;
-            let service_fault_secs = failure.service_fault_secs;
-            let has_net = net_id.is_some();
-            // With a network attached, partition and gray windows strike the
-            // fabric itself (cut and degraded access links); without one they
-            // fall back to the legacy FaaS service-fault windows.
-            let service_fault = move |kind: FaultKind| -> Option<FaasFault> {
-                match kind {
-                    FaultKind::Crash => None,
-                    FaultKind::Slowdown { factor } => Some(FaasFault::Slowdown { factor }),
-                    FaultKind::Gray { error_rate } if !has_net => {
-                        Some(FaasFault::Gray { error_rate })
+            let window_secs = failure.service_fault_secs;
+            let has_net = peers.net.is_some();
+            FailureInjector::with_faults(faults, move |ctx, event| {
+                let (fault, repaired) = match event {
+                    FailureEvent::Fail(fault) => (fault, false),
+                    FailureEvent::Repair(fault) => (fault, true),
+                };
+                let node = fault.outage.machine as u32;
+                let net_window = |ctx: &mut Context<'_, EcosystemMsg>, f| {
+                    let (open, clear) = (NetMsg::Fault(f), NetMsg::FaultClear(f));
+                    fault_window(ctx, peers.net, open, clear, repaired, window_secs);
+                };
+                let faas_window = |ctx: &mut Context<'_, EcosystemMsg>, f| {
+                    let (open, clear) = (FaasMsg::Fault(f), FaasMsg::FaultClear(f));
+                    fault_window(ctx, peers.faas, open, clear, repaired, window_secs);
+                };
+                match fault.kind {
+                    FaultKind::Partition if has_net => net_window(ctx, NetFault::Cut { node }),
+                    FaultKind::Gray { error_rate } if has_net => {
+                        let factor = (1.0 - error_rate).clamp(0.0, 1.0);
+                        net_window(ctx, NetFault::Degrade { node, factor });
                     }
-                    FaultKind::Partition if !has_net => Some(FaasFault::Partition),
-                    FaultKind::Gray { .. } | FaultKind::Partition => None,
-                }
-            };
-            let topo_fault = move |kind: FaultKind, machine: u32| -> Option<NetFault> {
-                if !has_net {
-                    return None;
-                }
-                match kind {
-                    FaultKind::Partition => Some(NetFault::Cut { node: machine }),
-                    FaultKind::Gray { error_rate } => Some(NetFault::Degrade {
-                        node: machine,
-                        factor: (1.0 - error_rate).clamp(0.0, 1.0),
-                    }),
-                    _ => None,
-                }
-            };
-            FailureInjector::with_faults(faults, move |ctx, event| match event {
-                FailureEvent::Fail(fault) => {
-                    let machine = fault.outage.machine as u32;
-                    if let (Some(nf), Some(id)) = (topo_fault(fault.kind, machine), net_id) {
-                        ctx.send(
-                            id,
-                            SimDuration::ZERO,
-                            EcosystemMsg::Net(NetMsg::Fault(nf)),
-                        );
-                        if let Some(secs) = service_fault_secs {
-                            ctx.send(
-                                id,
-                                SimDuration::from_secs_f64(secs),
-                                EcosystemMsg::Net(NetMsg::FaultClear(nf)),
-                            );
-                        }
-                        return;
+                    FaultKind::Partition => faas_window(ctx, FaasFault::Partition),
+                    FaultKind::Gray { error_rate } => {
+                        faas_window(ctx, FaasFault::Gray { error_rate })
                     }
-                    match service_fault(fault.kind) {
-                        None => {
-                            if let Some(id) = scheduler_id {
-                                ctx.send(
-                                    id,
-                                    SimDuration::ZERO,
-                                    EcosystemMsg::Rms(RmsMsg::MachineFail(machine)),
-                                );
-                            }
-                            if let Some(id) = faas_id {
-                                ctx.send(
-                                    id,
-                                    SimDuration::ZERO,
-                                    EcosystemMsg::Faas(FaasMsg::KillWarm {
-                                        fraction: kill_fraction,
-                                    }),
-                                );
-                            }
-                            if let Some(id) = bigdata_id {
-                                ctx.send(
-                                    id,
-                                    SimDuration::ZERO,
-                                    EcosystemMsg::Bigdata(BigdataMsg::NodeFail(machine)),
-                                );
-                            }
-                            if let Some(id) = graph_id {
-                                ctx.send(
-                                    id,
-                                    SimDuration::ZERO,
-                                    EcosystemMsg::Graph(GraphMsg::NodeFail(machine)),
-                                );
-                            }
-                            if let Some(id) = gaming_id {
-                                ctx.send(
-                                    id,
-                                    SimDuration::ZERO,
-                                    EcosystemMsg::Gaming(GamingMsg::NodeFail(machine)),
-                                );
-                            }
-                        }
-                        Some(f) => {
-                            if let Some(id) = faas_id {
-                                ctx.send(
-                                    id,
-                                    SimDuration::ZERO,
-                                    EcosystemMsg::Faas(FaasMsg::Fault(f)),
-                                );
-                                if let Some(secs) = service_fault_secs {
-                                    ctx.send(
-                                        id,
-                                        SimDuration::from_secs_f64(secs),
-                                        EcosystemMsg::Faas(FaasMsg::FaultClear(f)),
-                                    );
-                                }
-                            }
-                        }
+                    FaultKind::Slowdown { factor } => {
+                        faas_window(ctx, FaasFault::Slowdown { factor })
                     }
-                }
-                FailureEvent::Repair(fault) => {
-                    let machine = fault.outage.machine as u32;
-                    if let (Some(nf), Some(id)) = (topo_fault(fault.kind, machine), net_id) {
-                        // When the window length is overridden, the clear was
-                        // already scheduled at fault-strike time.
-                        if service_fault_secs.is_none() {
-                            ctx.send(
-                                id,
-                                SimDuration::ZERO,
-                                EcosystemMsg::Net(NetMsg::FaultClear(nf)),
-                            );
-                        }
-                        return;
+                    FaultKind::Crash if repaired => {
+                        send(ctx, peers.scheduler, RmsMsg::MachineRepair(node));
+                        send(ctx, peers.bigdata, BigdataMsg::NodeRepair(node));
+                        send(ctx, peers.graph, GraphMsg::NodeRepair(node));
+                        send(ctx, peers.gaming, GamingMsg::NodeRepair(node));
                     }
-                    match service_fault(fault.kind) {
-                        None => {
-                            if let Some(id) = scheduler_id {
-                                ctx.send(
-                                    id,
-                                    SimDuration::ZERO,
-                                    EcosystemMsg::Rms(RmsMsg::MachineRepair(machine)),
-                                );
-                            }
-                            if let Some(id) = bigdata_id {
-                                ctx.send(
-                                    id,
-                                    SimDuration::ZERO,
-                                    EcosystemMsg::Bigdata(BigdataMsg::NodeRepair(machine)),
-                                );
-                            }
-                            if let Some(id) = graph_id {
-                                ctx.send(
-                                    id,
-                                    SimDuration::ZERO,
-                                    EcosystemMsg::Graph(GraphMsg::NodeRepair(machine)),
-                                );
-                            }
-                            if let Some(id) = gaming_id {
-                                ctx.send(
-                                    id,
-                                    SimDuration::ZERO,
-                                    EcosystemMsg::Gaming(GamingMsg::NodeRepair(machine)),
-                                );
-                            }
-                        }
-                        Some(f) => {
-                            // When the window length is overridden, the clear
-                            // was already scheduled at fault-strike time.
-                            if service_fault_secs.is_none() {
-                                if let Some(id) = faas_id {
-                                    ctx.send(
-                                        id,
-                                        SimDuration::ZERO,
-                                        EcosystemMsg::Faas(FaasMsg::FaultClear(f)),
-                                    );
-                                }
-                            }
-                        }
+                    FaultKind::Crash => {
+                        send(ctx, peers.scheduler, RmsMsg::MachineFail(node));
+                        send(ctx, peers.faas, FaasMsg::KillWarm { fraction: kill_fraction });
+                        send(ctx, peers.bigdata, BigdataMsg::NodeFail(node));
+                        send(ctx, peers.graph, GraphMsg::NodeFail(node));
+                        send(ctx, peers.gaming, GamingMsg::NodeFail(node));
                     }
                 }
             })
@@ -1265,264 +1056,81 @@ impl Scenario {
         });
 
         let mut bigdata_actor = cfg.bigdata.as_ref().map(|bigdata| {
-            let mut actor: DataflowActor<'_, EcosystemMsg> = DataflowActor::new(
-                bigdata.clone(),
-                cfg.machines as u32,
-                RngStream::new(cfg.seed, "bigdata"),
-            );
+            let mut actor: DataflowActor<'_, EcosystemMsg> =
+                DataflowActor::new(bigdata.clone(), machines, RngStream::new(cfg.seed, "bigdata"));
             // The cross-tenant interference channel: each shuffle window
             // opens network pressure on the co-tenant subsystems.
-            if graph_id.is_some() || gaming_id.is_some() {
+            if peers.graph.is_some() || peers.gaming.is_some() {
                 actor = actor.with_shuffle_hook(move |ctx, _job, active| {
-                    if let Some(id) = graph_id {
-                        ctx.send(
-                            id,
-                            SimDuration::ZERO,
-                            EcosystemMsg::Graph(GraphMsg::Pressure(active)),
-                        );
-                    }
-                    if let Some(id) = gaming_id {
-                        ctx.send(
-                            id,
-                            SimDuration::ZERO,
-                            EcosystemMsg::Gaming(GamingMsg::Pressure(active)),
-                        );
-                    }
+                    send(ctx, peers.graph, GraphMsg::Pressure(active));
+                    send(ctx, peers.gaming, GamingMsg::Pressure(active));
                 });
             }
             // With a network attached, map-input reads and shuffle traffic
-            // become flows; the net router delivers the phase barriers.
-            if let Some(nid) = net_id {
+            // become flows; the flow router delivers the phase barriers.
+            if peers.net.is_some() {
                 actor = actor.with_transfer_hook(move |ctx, t| {
                     let owner = match t.phase {
                         BdPhase::Map => FlowOwner::BdMap,
                         BdPhase::Shuffle => FlowOwner::BdShuffle,
                     };
-                    ctx.send(
-                        nid,
-                        SimDuration::ZERO,
-                        EcosystemMsg::Net(NetMsg::Transfer(TransferReq {
-                            src: t.src,
-                            dst: t.dst,
-                            bytes: t.bytes.max(1),
-                            tag: FlowTag { owner, id: t.job as u64 },
-                        })),
-                    );
+                    let tag = FlowTag { owner, id: t.job as u64 };
+                    transfer(ctx, peers.net, t.src, t.dst, t.bytes, tag);
                 });
             }
             actor
         });
 
-        let mut graph_actor = cfg.graph.as_ref().map(|graph| {
-            BspActor::new(graph.clone(), cfg.machines as u32, RngStream::new(cfg.seed, "graph"))
-        });
+        let mut graph_actor = cfg
+            .graph
+            .as_ref()
+            .map(|graph| BspActor::new(graph.clone(), machines, RngStream::new(cfg.seed, "graph")));
 
         let mut gaming_actor = cfg.gaming.as_ref().map(|gaming| {
-            let mut actor: WorldActor<'_, EcosystemMsg> =
+            let actor: WorldActor<'_, EcosystemMsg> =
                 WorldActor::new(gaming.clone(), cfg.horizon, RngStream::new(cfg.seed, "gaming"));
             // With a network attached, world-state syncs ride the fabric and
             // lag whenever co-tenant traffic crowds their links.
-            if let (Some(nid), Some(net)) = (net_id, cfg.network.as_ref()) {
-                let machines = cfg.machines as u32;
-                actor = actor.with_sync(
-                    GamingSyncConfig {
-                        interval: net.gaming_sync_interval,
-                        base_bytes: net.gaming_sync_base_bytes,
-                        per_player_bytes: net.gaming_sync_per_player_bytes,
-                    },
-                    move |ctx, seq, bytes| {
-                        let src = if machines > 1 {
-                            1 + (seq % u64::from(machines - 1)) as u32
-                        } else {
-                            0
-                        };
-                        ctx.send(
-                            nid,
-                            SimDuration::ZERO,
-                            EcosystemMsg::Net(NetMsg::Transfer(TransferReq {
-                                src,
-                                dst: 0,
-                                bytes: bytes.max(1),
-                                tag: FlowTag { owner: FlowOwner::Game, id: seq },
-                            })),
-                        );
-                    },
-                );
-            }
-            actor
+            let Some(net) = cfg.network.as_ref() else { return actor };
+            let sync = GamingSyncConfig {
+                interval: net.gaming_sync_interval,
+                base_bytes: net.gaming_sync_base_bytes,
+                per_player_bytes: net.gaming_sync_per_player_bytes,
+            };
+            actor.with_sync(sync, move |ctx, seq, bytes| {
+                let tag = FlowTag { owner: FlowOwner::Game, id: seq };
+                transfer(ctx, peers.net, worker(seq, machines), 0, bytes, tag);
+            })
         });
 
         let mut dag_actor = cfg.dag.as_ref().map(|dag| {
             let mut rng = RngStream::new(cfg.seed, "dag");
             // With a network attached, the fabric's rack width dictates the
-            // locality structure the locality-first policy reasons over.
-            let mut actor: DagActor<'_, EcosystemMsg> = match cfg.network.as_ref() {
-                Some(net) => DagActor::with_rack_width(
-                    cfg.machines as u32,
-                    dag.clone(),
-                    &mut rng,
-                    net.nodes_per_rack as u32,
-                ),
-                None => DagActor::new(cfg.machines as u32, dag.clone(), &mut rng),
+            // locality structure the locality-first policy reasons over, and
+            // edge payloads ride the fabric; the flow router delivers the
+            // EdgeDone barriers.
+            let Some(net) = cfg.network.as_ref() else {
+                return DagActor::new(machines, dag.clone(), &mut rng);
             };
-            // With a network attached, edge payloads ride the fabric; the
-            // net completion router delivers the EdgeDone barriers.
-            if let Some(nid) = net_id {
-                actor = actor.with_edge_hook(move |ctx, t| {
-                    ctx.send(
-                        nid,
-                        SimDuration::ZERO,
-                        EcosystemMsg::Net(NetMsg::Transfer(TransferReq {
-                            src: t.src,
-                            dst: t.dst,
-                            bytes: t.bytes.max(1),
-                            tag: FlowTag {
-                                owner: FlowOwner::Dag,
-                                id: (u64::from(t.job) << 32) | u64::from(t.edge),
-                            },
-                        })),
-                    );
-                });
-            }
-            actor
+            let rack_width = net.nodes_per_rack as u32;
+            DagActor::with_rack_width(machines, dag.clone(), &mut rng, rack_width).with_edge_hook(
+                move |ctx, t| {
+                    let id = (u64::from(t.job) << 32) | u64::from(t.edge);
+                    let tag = FlowTag { owner: FlowOwner::Dag, id };
+                    transfer(ctx, peers.net, t.src, t.dst, t.bytes, tag);
+                },
+            )
         });
 
-        // The shared fabric, with the completion router that turns finished
-        // flows back into tenant messages. Aborted flows (stranded on a cut
-        // endpoint past the flow timeout) take the retry-or-fail-fast
-        // branch instead of the delivery branch.
+        // The shared fabric, with the router that turns finished (or
+        // aborted) flows back into tenant messages.
         let mut net_actor = cfg.network.as_ref().map(|net| {
-            let function_names = function_names.clone();
+            let functions = functions.clone();
             let lag_budget = net.gaming_lag_budget.as_secs_f64();
-            let nid = net_id.expect("net id allocated");
             NetActor::new(net.topology(cfg.machines))
                 .with_flow_timeout(net.flow_timeout)
                 .with_completion(move |ctx, done| {
-                    if done.aborted {
-                        match done.tag.owner {
-                            // The invocation payload (or its response) is
-                            // lost: the caller fails fast, nothing retries.
-                            FlowOwner::Faas | FlowOwner::FaasResp => {}
-                            // The checkpoint fetch is abandoned; the task
-                            // re-enters the queue and restarts.
-                            FlowOwner::Rms => {
-                                if let Some(id) = scheduler_id {
-                                    ctx.send(
-                                        id,
-                                        SimDuration::ZERO,
-                                        EcosystemMsg::Rms(RmsMsg::Requeue(
-                                            done.tag.id as usize,
-                                        )),
-                                    );
-                                }
-                            }
-                            // Barriers would hang forever on a lost transfer:
-                            // retry it (bounded by the timeout cadence until
-                            // the cut heals or the run ends). Workflow input
-                            // edges are barriers too — the consumer task
-                            // cannot start without its bytes.
-                            FlowOwner::BdMap | FlowOwner::BdShuffle | FlowOwner::Dag => {
-                                ctx.send(
-                                    nid,
-                                    SimDuration::ZERO,
-                                    EcosystemMsg::Net(NetMsg::Transfer(TransferReq {
-                                        src: done.src,
-                                        dst: done.dst,
-                                        bytes: done.bytes,
-                                        tag: done.tag,
-                                    })),
-                                );
-                            }
-                            // A lost world-state sync counts as (very) lagged.
-                            FlowOwner::Game => {
-                                if let Some(id) = gaming_id {
-                                    ctx.send(
-                                        id,
-                                        SimDuration::ZERO,
-                                        EcosystemMsg::Gaming(GamingMsg::SyncDone(true)),
-                                    );
-                                }
-                            }
-                            FlowOwner::Test => {
-                                debug_assert!(false, "test flows never reach a scenario")
-                            }
-                        }
-                        return;
-                    }
-                    match done.tag.owner {
-                    FlowOwner::Faas => {
-                        if let Some(id) = faas_id {
-                            let function = function_names
-                                [done.tag.id as usize % function_names.len()]
-                            .clone();
-                            ctx.send(
-                                id,
-                                SimDuration::ZERO,
-                                EcosystemMsg::Faas(FaasMsg::Invoke { function }),
-                            );
-                        }
-                    }
-                    // Responses only contended for bandwidth; nothing waits
-                    // on their delivery.
-                    FlowOwner::FaasResp => {}
-                    FlowOwner::Rms => {
-                        if let Some(id) = scheduler_id {
-                            ctx.send(
-                                id,
-                                SimDuration::ZERO,
-                                EcosystemMsg::Rms(RmsMsg::Requeue(done.tag.id as usize)),
-                            );
-                        }
-                    }
-                    FlowOwner::BdMap => {
-                        if let Some(id) = bigdata_id {
-                            ctx.send(
-                                id,
-                                SimDuration::ZERO,
-                                EcosystemMsg::Bigdata(BigdataMsg::MapXferDone(
-                                    done.tag.id as usize,
-                                )),
-                            );
-                        }
-                    }
-                    FlowOwner::BdShuffle => {
-                        if let Some(id) = bigdata_id {
-                            ctx.send(
-                                id,
-                                SimDuration::ZERO,
-                                EcosystemMsg::Bigdata(BigdataMsg::ShuffleXferDone(
-                                    done.tag.id as usize,
-                                )),
-                            );
-                        }
-                    }
-                    FlowOwner::Game => {
-                        if let Some(id) = gaming_id {
-                            ctx.send(
-                                id,
-                                SimDuration::ZERO,
-                                EcosystemMsg::Gaming(GamingMsg::SyncDone(
-                                    done.secs > lag_budget,
-                                )),
-                            );
-                        }
-                    }
-                    FlowOwner::Dag => {
-                        if let Some(id) = dag_id {
-                            ctx.send(
-                                id,
-                                SimDuration::ZERO,
-                                EcosystemMsg::Dag(DagMsg::EdgeDone {
-                                    job: (done.tag.id >> 32) as u32,
-                                    edge: done.tag.id as u32,
-                                }),
-                            );
-                        }
-                    }
-                    FlowOwner::Test => {
-                        debug_assert!(false, "test flows never reach a scenario")
-                    }
-                    }
+                    route_flow(ctx, peers, done, &functions, lag_budget)
                 })
         });
 
@@ -1533,188 +1141,245 @@ impl Scenario {
             // as they are recorded, so a late switch would lose history.
             sim.set_trace(TraceBus::streaming(obs.stream_config()));
         }
-        if let Some(actor) = arrival.as_mut() {
-            let id = sim.add_actor(actor);
-            debug_assert_eq!(Some(id), arrival_id, "registration order must match precomputed ids");
-            let _ = id;
-        }
-        if let Some(actor) = scheduler_actor.as_mut() {
-            let id = sim.add_actor(actor);
-            debug_assert_eq!(Some(id), scheduler_id, "registration order must match precomputed ids");
-            let _ = id;
-        }
-        if let Some(actor) = governor.as_mut() {
-            let id = sim.add_actor(actor);
-            debug_assert_eq!(Some(id), governor_id, "registration order must match precomputed ids");
-            let _ = id;
-        }
-        if let Some(actor) = faas_actor.as_mut() {
-            let id = sim.add_actor(actor);
-            debug_assert_eq!(Some(id), faas_id, "registration order must match precomputed ids");
-            let _ = id;
-        }
-        if let Some(actor) = injector.as_mut() {
-            let id = sim.add_actor(actor);
-            debug_assert_eq!(Some(id), injector_id, "registration order must match precomputed ids");
-            let _ = id;
-        }
-        if let Some(actor) = bigdata_actor.as_mut() {
-            let id = sim.add_actor(actor);
-            debug_assert_eq!(Some(id), bigdata_id, "registration order must match precomputed ids");
-            let _ = id;
-        }
-        if let Some(actor) = graph_actor.as_mut() {
-            let id = sim.add_actor(actor);
-            debug_assert_eq!(Some(id), graph_id, "registration order must match precomputed ids");
-            let _ = id;
-        }
-        if let Some(actor) = gaming_actor.as_mut() {
-            let id = sim.add_actor(actor);
-            debug_assert_eq!(Some(id), gaming_id, "registration order must match precomputed ids");
-            let _ = id;
-        }
-        if let Some(actor) = dag_actor.as_mut() {
-            let id = sim.add_actor(actor);
-            debug_assert_eq!(Some(id), dag_id, "registration order must match precomputed ids");
-            let _ = id;
-        }
-        if let Some(actor) = net_actor.as_mut() {
-            let id = sim.add_actor(actor);
-            debug_assert_eq!(Some(id), net_id, "registration order must match precomputed ids");
-            let _ = id;
-        }
-
-        if let Some(id) = arrival_id {
-            sim.schedule(SimTime::ZERO, id, EcosystemMsg::Arrival(ArrivalMsg::Start));
-        }
-        if let Some(id) = scheduler_id {
-            sim.schedule(SimTime::ZERO, id, EcosystemMsg::Rms(RmsMsg::Start));
-        }
-        if let Some(id) = injector_id {
-            sim.schedule(SimTime::ZERO, id, EcosystemMsg::Injector(InjectorMsg::Start));
-        }
-        if let (Some(id), Some(faas)) = (faas_id, cfg.faas.as_ref()) {
-            sim.schedule(
-                SimTime::ZERO + faas.service.scaling_interval,
-                id,
-                EcosystemMsg::Faas(FaasMsg::Report),
-            );
-        }
-        if let Some(id) = bigdata_id {
-            sim.schedule(SimTime::ZERO, id, EcosystemMsg::Bigdata(BigdataMsg::Start));
-        }
-        if let Some(id) = graph_id {
-            sim.schedule(SimTime::ZERO, id, EcosystemMsg::Graph(GraphMsg::Start));
-        }
-        if let Some(id) = gaming_id {
-            sim.schedule(SimTime::ZERO, id, EcosystemMsg::Gaming(GamingMsg::Start));
-        }
-        if let Some(id) = dag_id {
-            sim.schedule(SimTime::ZERO, id, EcosystemMsg::Dag(DagMsg::Start));
-        }
+        // Each actor's start message is queued as it registers. Only the
+        // FaaS report is not at time zero, and `validate` keeps the scaling
+        // interval positive, so its place in the queue never breaks a tie.
+        let report = cfg.faas.as_ref().map(|faas| {
+            (SimTime::ZERO + faas.service.scaling_interval, EcosystemMsg::Faas(FaasMsg::Report))
+        });
+        register(&mut sim, arrival.as_mut(), peers.arrival, at_zero(ArrivalMsg::Start));
+        register(&mut sim, scheduler_actor.as_mut(), peers.scheduler, at_zero(RmsMsg::Start));
+        register(&mut sim, governor.as_mut(), peers.governor, None);
+        register(&mut sim, faas_actor.as_mut(), peers.faas, report);
+        register(&mut sim, injector.as_mut(), peers.injector, at_zero(InjectorMsg::Start));
+        register(&mut sim, bigdata_actor.as_mut(), peers.bigdata, at_zero(BigdataMsg::Start));
+        register(&mut sim, graph_actor.as_mut(), peers.graph, at_zero(GraphMsg::Start));
+        register(&mut sim, gaming_actor.as_mut(), peers.gaming, at_zero(GamingMsg::Start));
+        register(&mut sim, dag_actor.as_mut(), peers.dag, at_zero(DagMsg::Start));
+        register(&mut sim, net_actor.as_mut(), peers.net, None);
         sim.run();
 
         let events_handled = sim.events_handled();
         let trace = sim.take_trace();
         drop(sim);
 
-        let arrivals = arrival.as_ref().map_or(0, |a| a.count());
-        let invoked = faas_actor.as_ref().map_or(0, |a| a.invoked());
-        let rejected = faas_actor.as_ref().map_or(0, |a| a.rejected());
-        let invocations_failed = faas_actor.as_ref().map_or(0, |a| a.failed());
-        let shed = faas_actor.as_ref().map_or(0, |a| a.shed());
-        let retries_scheduled = faas_actor.as_ref().map_or(0, |a| a.retries_scheduled());
-        let final_capacity =
-            faas_actor.as_ref().and_then(|a| a.capacity()).unwrap_or(0);
-        let outages_delivered = injector.as_ref().map_or(0, |i| i.delivered());
-        let governor_decisions = governor.as_ref().map_or(0, |g| g.decisions());
-        let schedule = scheduler_actor
-            .as_mut()
-            .map(|a| a.outcome())
-            .unwrap_or_else(empty_schedule_outcome);
-        let bigdata_jobs = bigdata_actor.as_ref().map_or(0, |a| a.completed());
-        let graph_queries = graph_actor.as_ref().map_or(0, |a| a.completed());
-        let graph_stragglers = graph_actor.as_ref().map_or(0, |a| a.stragglers());
-        let gaming_admitted = gaming_actor.as_ref().map_or(0, |a| a.admitted());
-        let gaming_rejected = gaming_actor.as_ref().map_or(0, |a| a.rejected());
-        let gaming_disconnected = gaming_actor.as_ref().map_or(0, |a| a.disconnected());
-        let gaming_laggy_syncs = gaming_actor.as_ref().map_or(0, |a| a.laggy_syncs());
-        let dag_jobs_finished = dag_actor.as_ref().map_or(0, |a| a.jobs_finished());
-        let dag_tasks_finished = dag_actor.as_ref().map_or(0, |a| a.tasks_finished());
-        let dag_mean_makespan_secs = dag_actor.as_ref().map_or(0.0, |a| a.mean_makespan_secs());
-        let dag_transfer_secs = dag_actor.as_ref().map_or(0.0, |a| a.transfer_secs());
-        let dag_stall_secs = dag_actor.as_ref().map_or(0.0, |a| a.stall_secs());
-        let net_flows_started = net_actor.as_ref().map_or(0, |a| a.started());
-        let net_flows_delivered = net_actor.as_ref().map_or(0, |a| a.delivered());
-        let net_flows_aborted = net_actor.as_ref().map_or(0, |a| a.aborted());
-        let net_stall_secs = net_actor.as_ref().map_or(0.0, |a| a.stall_secs());
-        drop(arrival);
-        drop(faas_actor);
-        drop(governor);
-        drop(injector);
-        drop(scheduler_actor);
-        let faas = platform.as_mut().map_or_else(empty_platform_report, |p| p.finish());
-
+        let faas = faas_actor.as_ref();
+        let gaming = gaming_actor.as_ref();
+        let dag = dag_actor.as_ref();
+        let net = net_actor.as_ref();
         ScenarioOutcome {
-            schedule,
-            faas,
-            arrivals,
-            invoked,
-            rejected,
-            invocations_failed,
-            shed,
-            retries_scheduled,
-            final_capacity,
+            schedule: scheduler_actor.as_mut().map(|a| a.outcome()).unwrap_or_default(),
+            arrivals: arrival.as_ref().map_or(0, |a| a.count()),
+            invoked: faas.map_or(0, |a| a.invoked()),
+            rejected: faas.map_or(0, |a| a.rejected()),
+            invocations_failed: faas.map_or(0, |a| a.failed()),
+            shed: faas.map_or(0, |a| a.shed()),
+            retries_scheduled: faas.map_or(0, |a| a.retries_scheduled()),
+            final_capacity: faas.and_then(|a| a.capacity()).unwrap_or(0),
             outages_generated,
-            outages_delivered,
-            governor_decisions,
-            bigdata_jobs,
-            graph_queries,
-            graph_stragglers,
-            gaming_admitted,
-            gaming_rejected,
-            gaming_disconnected,
-            gaming_laggy_syncs,
-            dag_jobs_finished,
-            dag_tasks_finished,
-            dag_mean_makespan_secs,
-            dag_transfer_secs,
-            dag_stall_secs,
-            net_flows_started,
-            net_flows_delivered,
-            net_flows_aborted,
-            net_stall_secs,
+            outages_delivered: injector.as_ref().map_or(0, |i| i.delivered()),
+            governor_decisions: governor.as_ref().map_or(0, |g| g.decisions()),
+            bigdata_jobs: bigdata_actor.as_ref().map_or(0, |a| a.completed()),
+            graph_queries: graph_actor.as_ref().map_or(0, |a| a.completed()),
+            graph_stragglers: graph_actor.as_ref().map_or(0, |a| a.stragglers()),
+            gaming_admitted: gaming.map_or(0, |a| a.admitted()),
+            gaming_rejected: gaming.map_or(0, |a| a.rejected()),
+            gaming_disconnected: gaming.map_or(0, |a| a.disconnected()),
+            gaming_laggy_syncs: gaming.map_or(0, |a| a.laggy_syncs()),
+            dag_jobs_finished: dag.map_or(0, |a| a.jobs_finished()),
+            dag_tasks_finished: dag.map_or(0, |a| a.tasks_finished()),
+            dag_mean_makespan_secs: dag.map_or(0.0, |a| a.mean_makespan_secs()),
+            dag_transfer_secs: dag.map_or(0.0, |a| a.transfer_secs()),
+            dag_stall_secs: dag.map_or(0.0, |a| a.stall_secs()),
+            net_flows_started: net.map_or(0, |a| a.started()),
+            net_flows_delivered: net.map_or(0, |a| a.delivered()),
+            net_flows_aborted: net.map_or(0, |a| a.aborted()),
+            net_stall_secs: net.map_or(0.0, |a| a.stall_secs()),
             events_handled,
             trace,
+            // Last: the FaaS actor borrows the platform until it is dropped.
+            faas: {
+                drop(faas_actor);
+                platform.as_mut().map(FaasPlatform::finish).unwrap_or_default()
+            },
         }
     }
 }
 
-/// The outcome of a run with no batch subsystem attached.
-fn empty_schedule_outcome() -> ScheduleOutcome {
-    ScheduleOutcome {
-        completions: Vec::new(),
-        makespan: SimDuration::ZERO,
-        mean_utilization: 0.0,
-        mean_queue_length: 0.0,
-        peak_queue_length: 0.0,
-        deadline_misses: 0,
-        failure_requeues: 0,
-        rejected: 0,
-        abandoned: 0,
-        unfinished: 0,
+/// The reserved actor id of every participant (`None` when absent).
+///
+/// Actor ids are assigned in registration order; fixing that order up front
+/// (skipping absent subsystems) lets cross-actor callbacks address their
+/// peers before anything is registered. The legacy quintet keeps ids 0..=4,
+/// and the network registers last so attaching it never renumbers the
+/// tenants.
+#[derive(Clone, Copy)]
+struct Peers {
+    arrival: Option<ActorId>,
+    scheduler: Option<ActorId>,
+    governor: Option<ActorId>,
+    faas: Option<ActorId>,
+    injector: Option<ActorId>,
+    bigdata: Option<ActorId>,
+    graph: Option<ActorId>,
+    gaming: Option<ActorId>,
+    dag: Option<ActorId>,
+    net: Option<ActorId>,
+}
+
+impl Peers {
+    fn of(cfg: &ScenarioConfig) -> Self {
+        let mut next = 0;
+        let mut reserve = |present: bool| {
+            present.then(|| {
+                next += 1;
+                ActorId::from_index(next - 1)
+            })
+        };
+        // Field initialisers run in the order written: this is the
+        // registration order.
+        Peers {
+            arrival: reserve(cfg.faas.is_some()),
+            scheduler: reserve(cfg.batch.is_some()),
+            governor: reserve(cfg.faas.is_some()),
+            faas: reserve(cfg.faas.is_some()),
+            injector: reserve(cfg.failure.is_some()),
+            bigdata: reserve(cfg.bigdata.is_some()),
+            graph: reserve(cfg.graph.is_some()),
+            gaming: reserve(cfg.gaming.is_some()),
+            dag: reserve(cfg.dag.is_some()),
+            net: reserve(cfg.network.is_some()),
+        }
     }
 }
 
-/// The report of a run with no FaaS subsystem attached.
-fn empty_platform_report() -> PlatformReport {
-    PlatformReport {
-        invocations: Vec::new(),
-        cold_fraction: 0.0,
-        latency: None,
-        billed_gb_secs: 0.0,
-        provider_gb_secs: 0.0,
-        peak_instances: 0,
+/// Registers a present `actor`, which must land on its `reserved` id, and
+/// queues its `start` message.
+fn register<'a, A: Actor<EcosystemMsg> + 'a>(
+    sim: &mut Simulation<'a, EcosystemMsg>,
+    actor: Option<&'a mut A>,
+    reserved: Option<ActorId>,
+    start: Option<(SimTime, EcosystemMsg)>,
+) {
+    let Some(actor) = actor else { return };
+    let id = sim.add_actor(actor);
+    debug_assert_eq!(Some(id), reserved, "registration order must match the reserved ids");
+    if let Some((at, msg)) = start {
+        sim.schedule(at, id, msg);
+    }
+}
+
+/// `msg` as a [`register`] start message at time zero.
+fn at_zero<T>(msg: T) -> Option<(SimTime, EcosystemMsg)>
+where
+    EcosystemMsg: MessageEnvelope<T>,
+{
+    Some((SimTime::ZERO, EcosystemMsg::wrap(msg)))
+}
+
+/// Delivers `msg` to `peer` now, when that participant is attached.
+fn send<T>(ctx: &mut Context<'_, EcosystemMsg>, peer: Option<ActorId>, msg: T)
+where
+    EcosystemMsg: MessageEnvelope<T>,
+{
+    if let Some(id) = peer {
+        ctx.send(id, SimDuration::ZERO, EcosystemMsg::wrap(msg));
+    }
+}
+
+/// Starts a flow of (at least one) `bytes` from `src` to `dst` on the fabric.
+fn transfer(
+    ctx: &mut Context<'_, EcosystemMsg>,
+    net: Option<ActorId>,
+    src: u32,
+    dst: u32,
+    bytes: u64,
+    tag: FlowTag,
+) {
+    send(ctx, net, NetMsg::Transfer(TransferReq { src, dst, bytes: bytes.max(1), tag }));
+}
+
+/// The `seq`-th worker node, spreading round-robin over every node but the
+/// front-end (node 0); a one-node fleet has only the front-end.
+fn worker(seq: u64, machines: u32) -> u32 {
+    if machines > 1 {
+        1 + (seq % u64::from(machines - 1)) as u32
+    } else {
+        0
+    }
+}
+
+/// The invocation of arrival `index`, round-robin over the deployment.
+fn invoke(functions: &[String], index: usize) -> FaasMsg {
+    FaasMsg::Invoke { function: functions[index % functions.len()].clone() }
+}
+
+/// Opens a service-level fault window on `peer` at a strike, and closes it
+/// at the repair. When the window length is overridden (`window_secs`), the
+/// clear is scheduled at strike time instead and the repair sends nothing.
+fn fault_window<T>(
+    ctx: &mut Context<'_, EcosystemMsg>,
+    peer: Option<ActorId>,
+    open: T,
+    clear: T,
+    repaired: bool,
+    window_secs: Option<f64>,
+) where
+    EcosystemMsg: MessageEnvelope<T>,
+{
+    let Some(id) = peer else { return };
+    match (repaired, window_secs) {
+        (false, secs) => {
+            ctx.send(id, SimDuration::ZERO, EcosystemMsg::wrap(open));
+            if let Some(secs) = secs {
+                ctx.send(id, SimDuration::from_secs_f64(secs), EcosystemMsg::wrap(clear));
+            }
+        }
+        (true, None) => {
+            ctx.send(id, SimDuration::ZERO, EcosystemMsg::wrap(clear));
+        }
+        (true, Some(_)) => {}
+    }
+}
+
+/// Turns a finished flow back into its owner's message. Aborted flows
+/// (stranded on a cut endpoint past the flow timeout) retry or fail fast.
+fn route_flow(
+    ctx: &mut Context<'_, EcosystemMsg>,
+    peers: Peers,
+    done: &FlowDone,
+    functions: &[String],
+    lag_budget: f64,
+) {
+    let id = done.tag.id;
+    match done.tag.owner {
+        // A lost invocation payload fails fast: nothing retries it.
+        FlowOwner::Faas if done.aborted => {}
+        FlowOwner::Faas => send(ctx, peers.faas, invoke(functions, id as usize)),
+        // Responses only contend for bandwidth; nothing waits on them.
+        FlowOwner::FaasResp => {}
+        // Fetched or abandoned, the checkpoint is done with: the task
+        // re-enters the queue (and restarts from scratch when abandoned).
+        FlowOwner::Rms => send(ctx, peers.scheduler, RmsMsg::Requeue(id as usize)),
+        // Barriers would hang forever on a lost transfer: retry it (bounded
+        // by the timeout cadence until the cut heals or the run ends).
+        // Workflow input edges are barriers too — the consumer task cannot
+        // start without its bytes.
+        FlowOwner::BdMap | FlowOwner::BdShuffle | FlowOwner::Dag if done.aborted => {
+            transfer(ctx, peers.net, done.src, done.dst, done.bytes, done.tag);
+        }
+        FlowOwner::BdMap => send(ctx, peers.bigdata, BigdataMsg::MapXferDone(id as usize)),
+        FlowOwner::BdShuffle => send(ctx, peers.bigdata, BigdataMsg::ShuffleXferDone(id as usize)),
+        FlowOwner::Dag => {
+            let (job, edge) = ((id >> 32) as u32, id as u32);
+            send(ctx, peers.dag, DagMsg::EdgeDone { job, edge });
+        }
+        // A lost world-state sync counts as (very) lagged.
+        FlowOwner::Game => {
+            let lagged = done.aborted || done.secs > lag_budget;
+            send(ctx, peers.gaming, GamingMsg::SyncDone(lagged));
+        }
+        FlowOwner::Test => debug_assert!(false, "test flows never reach a scenario"),
     }
 }
 

@@ -95,7 +95,7 @@ pub struct InvocationResult {
 }
 
 /// Platform-level metrics of one run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PlatformReport {
     /// All invocation results, in completion order per function.
     pub invocations: Vec<InvocationResult>,

@@ -117,7 +117,7 @@ fn sanitize_checkpoint(factor: f64) -> f64 {
 }
 
 /// What the scheduler measured over one run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScheduleOutcome {
     /// Per-task completion records.
     pub completions: Vec<TaskCompletion>,
