@@ -67,6 +67,7 @@ pub fn all() -> Vec<Box<dyn Experiment>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn registry_names_are_unique_and_stable() {
@@ -84,5 +85,16 @@ mod tests {
         assert!(names.contains(&"scale_stress"));
         assert!(names.contains(&"dag_portfolio"));
         assert_eq!(names.len(), 17);
+
+        // Every binary is a thin wrapper over one registered experiment.
+        let bin_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        let bins: BTreeSet<String> = std::fs::read_dir(&bin_dir)
+            .expect("src/bin is readable")
+            .map(|entry| entry.expect("src/bin entry").path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "rs"))
+            .map(|path| path.file_stem().unwrap().to_string_lossy().into_owned())
+            .collect();
+        let registered: BTreeSet<String> = names.iter().map(|&n| n.to_owned()).collect();
+        assert_eq!(bins, registered, "src/bin and experiments::all() disagree");
     }
 }

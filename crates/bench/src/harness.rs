@@ -3,25 +3,22 @@
 //! Replaces the external criterion dependency with the smallest useful
 //! surface: each `benches/*.rs` file builds a [`Harness`], registers named
 //! benchmarks, and prints a timing table. Statistics are deliberately
-//! plain — warmup, then repeated timed samples, reporting min / median /
-//! mean — because the benches here guide relative comparisons (ablations,
-//! era-to-era deltas), not microarchitectural claims.
-//!
-//! Environment knobs (unparsable or out-of-range values warn on stderr and
-//! fall back to the default):
-//! - `MCS_BENCH_SAMPLES` — sample count per benchmark (default 12,
-//!   accepted range `1..=10_000`)
-//! - `MCS_BENCH_WARMUP_MS` — minimum warmup time in ms (default 200,
-//!   accepted range `0..=10_000`)
+//! plain — at least 200 ms of warmup, then 12 timed samples, reporting
+//! min / median / mean from [`Summary::of`] — because the benches
+//! here guide relative comparisons (ablations, era-to-era deltas), not
+//! microarchitectural claims.
 
 use std::time::{Duration, Instant};
 
+use mcs::simcore::metrics::Summary;
+
 pub use std::hint::black_box;
 
-/// The largest sample count / warmup milliseconds the env knobs accept;
-/// anything bigger is almost certainly a typo (e.g. a duplicated digit) and
-/// would hang a CI smoke run for hours.
-const ENV_KNOB_MAX: u64 = 10_000;
+/// Timed samples per benchmark.
+const SAMPLES: usize = 12;
+
+/// Minimum warmup time per benchmark, before the timed samples.
+const WARMUP: Duration = Duration::from_millis(200);
 
 /// Timing statistics for one benchmark, in seconds, plus the peak heap
 /// growth observed across the timed samples (bytes above the live count at
@@ -29,57 +26,35 @@ const ENV_KNOB_MAX: u64 = 10_000;
 #[derive(Debug, Clone)]
 pub struct Stats {
     pub name: String,
-    pub samples: usize,
     pub min: f64,
     pub median: f64,
     pub mean: f64,
-    pub max: f64,
     pub peak_bytes: u64,
 }
 
-/// Reads one env knob as a `u64` in `min..=ENV_KNOB_MAX`, warning on stderr
-/// and returning `default` for anything unset, unparsable, or out of range.
-fn env_knob(var: &str, min: u64, default: u64) -> u64 {
-    let Ok(raw) = std::env::var(var) else {
-        return default;
-    };
-    match raw.trim().parse::<u64>() {
-        Ok(n) if (min..=ENV_KNOB_MAX).contains(&n) => n,
-        _ => {
-            eprintln!(
-                "mcs-bench: ignoring {var}={raw:?} \
-                 (want an integer in {min}..={ENV_KNOB_MAX}); using {default}"
-            );
-            default
-        }
+impl Stats {
+    /// Summarizes one benchmark's samples; `None` when there are none.
+    fn of(name: &str, samples: &[f64], peak_bytes: u64) -> Option<Stats> {
+        let s = Summary::of(samples)?;
+        Some(Stats { name: name.to_owned(), min: s.min, median: s.p50, mean: s.mean, peak_bytes })
     }
-}
-
-fn samples_per_bench() -> usize {
-    env_knob("MCS_BENCH_SAMPLES", 1, 12) as usize
-}
-
-fn warmup_budget() -> Duration {
-    Duration::from_millis(env_knob("MCS_BENCH_WARMUP_MS", 0, 200))
 }
 
 /// Passed to each benchmark closure; [`Bencher::iter`] times the hot path.
 pub struct Bencher {
     samples: Vec<f64>,
-    target_samples: usize,
-    warmup: Duration,
     peak_bytes: u64,
 }
 
 impl Bencher {
-    /// Warms `f` up, then times `target_samples` calls of it. The return
+    /// Warms `f` up, then times `SAMPLES` calls of it. The return
     /// value is routed through [`black_box`] so the work is not optimised
     /// away. Peak heap growth is measured across the timed samples (warmup
     /// excluded, so one-time setup allocations don't pollute the number).
     pub fn iter<T, F: FnMut() -> T>(&mut self, mut f: F) {
         let warmup_start = Instant::now();
         let mut warmed = 0u32;
-        while warmed < 1 || warmup_start.elapsed() < self.warmup {
+        while warmed < 1 || warmup_start.elapsed() < WARMUP {
             black_box(f());
             warmed += 1;
             if warmed >= 1_000 {
@@ -87,7 +62,7 @@ impl Bencher {
             }
         }
         let baseline = crate::peakmem::PEAK_ALLOC.reset_peak();
-        for _ in 0..self.target_samples {
+        for _ in 0..SAMPLES {
             let start = Instant::now();
             black_box(f());
             self.samples.push(start.elapsed().as_secs_f64());
@@ -109,26 +84,10 @@ impl Harness {
 
     /// Registers and immediately runs one benchmark.
     pub fn bench<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
-        let mut bencher = Bencher {
-            samples: Vec::new(),
-            target_samples: samples_per_bench(),
-            warmup: warmup_budget(),
-            peak_bytes: 0,
-        };
+        let mut bencher = Bencher { samples: Vec::new(), peak_bytes: 0 };
         f(&mut bencher);
-        let peak_bytes = bencher.peak_bytes;
-        let mut xs = bencher.samples;
-        assert!(!xs.is_empty(), "benchmark {name:?} never called Bencher::iter");
-        xs.sort_by(|a, b| a.total_cmp(b));
-        let stats = Stats {
-            name: name.to_owned(),
-            samples: xs.len(),
-            min: xs[0],
-            median: xs[xs.len() / 2],
-            mean: xs.iter().sum::<f64>() / xs.len() as f64,
-            max: xs[xs.len() - 1],
-            peak_bytes,
-        };
+        let stats = Stats::of(name, &bencher.samples, bencher.peak_bytes)
+            .unwrap_or_else(|| panic!("benchmark {name:?} never called Bencher::iter"));
         eprintln!(
             "  {:<44} min {:>10}  median {:>10}  mean {:>10}  peak {:>10}",
             stats.name,
@@ -147,7 +106,7 @@ impl Harness {
             "{}: {} benchmark(s), {} sample(s) each",
             self.group,
             self.results.len(),
-            samples_per_bench(),
+            SAMPLES,
         );
         &self.results
     }
@@ -170,37 +129,26 @@ pub fn format_secs(secs: f64) -> String {
 mod tests {
     use super::*;
 
-    // One test owns every env-var mutation: the test harness runs tests on
-    // parallel threads, so splitting these into separate #[test] fns would
-    // race on the shared process environment.
     #[test]
-    fn bench_env_knobs_are_honoured_and_hardened() {
-        std::env::set_var("MCS_BENCH_SAMPLES", "3");
-        std::env::set_var("MCS_BENCH_WARMUP_MS", "0");
+    fn bench_reports_ordered_stats() {
         let mut h = Harness::new("test");
         h.bench("square", |b| b.iter(|| black_box(7u64) * 7));
         let stats = &h.finish()[0];
-        assert_eq!(stats.samples, 3);
-        assert!(stats.min <= stats.median && stats.median <= stats.max);
-        assert_eq!(warmup_budget(), Duration::ZERO);
+        assert_eq!(stats.name, "square");
+        assert!(0.0 <= stats.min && stats.min <= stats.median);
+        assert!(stats.min <= stats.mean);
+    }
 
-        // Zero samples would make the median index panic; huge values would
-        // hang CI. Both fall back to the default.
-        for bad in ["0", "999999", "-3", "twelve", ""] {
-            std::env::set_var("MCS_BENCH_SAMPLES", bad);
-            assert_eq!(samples_per_bench(), 12, "MCS_BENCH_SAMPLES={bad:?}");
-        }
-        std::env::set_var("MCS_BENCH_SAMPLES", "10000");
-        assert_eq!(samples_per_bench(), 10_000);
-        std::env::remove_var("MCS_BENCH_SAMPLES");
-        assert_eq!(samples_per_bench(), 12);
-
-        for bad in ["10001", "nope"] {
-            std::env::set_var("MCS_BENCH_WARMUP_MS", bad);
-            assert_eq!(warmup_budget(), Duration::from_millis(200), "MCS_BENCH_WARMUP_MS={bad:?}");
-        }
-        std::env::remove_var("MCS_BENCH_WARMUP_MS");
-        assert_eq!(warmup_budget(), Duration::from_millis(200));
+    #[test]
+    fn median_of_an_even_sample_set_interpolates() {
+        // The two middle values of 12 samples are 6 and 7: the median is
+        // their mean, not the upper one.
+        let samples: Vec<f64> = (1..=12).rev().map(f64::from).collect();
+        let stats = Stats::of("even", &samples, 0).unwrap();
+        assert_eq!(stats.median, 6.5);
+        assert_eq!(stats.min, 1.0);
+        assert_eq!(stats.mean, 6.5);
+        assert!(Stats::of("empty", &[], 0).is_none());
     }
 
     #[test]

@@ -22,14 +22,10 @@
 //! | `chaos_sweep` | Chaos campaign — scripted fault schedules vs the trace-invariant suite, ddmin-shrunk reproducers (`--check-invariants` gates the golden default trace) |
 //! | `scale_stress` | Streaming observability at scale — bounded-memory trace sinks vs full retention at 10M+ events |
 //! | `dag_portfolio` | DAG workflow portfolio scheduling — per-class simulate-ahead vs every fixed policy on the shared fabric |
-//! | `perf_baseline` | Tracked perf baseline of the simulation core (`--json`/`--check BENCH_4.json`) |
 //!
 //! Each binary is a thin wrapper over an [`experiments`] type implementing
 //! [`mcs::experiment::Experiment`]; [`run_cli`] handles seed selection and
 //! rendering, so `<experiment> [seed]` reruns any artifact at any seed.
-//! (`perf_baseline` is the exception: it wraps the wall-clock [`harness`]
-//! around the engine/trace/scenario hot paths — with [`peakmem`] peak-heap
-//! columns — and emits the committed `BENCH_*.json` speedup records.)
 //!
 //! The sweep-shaped experiments (`ecosystem_composed`'s autoscaler
 //! portfolio, `resilience_ablation`'s grid, `chaos_sweep`'s schedule×seed
@@ -39,7 +35,9 @@
 //!
 //! In-house benches (`cargo bench -p mcs-bench`) time the kernels behind
 //! each artifact plus the ablations called out in DESIGN.md, using the
-//! wall-clock [`harness`].
+//! wall-clock [`harness`]. End-to-end and per-layer performance is measured
+//! by the repository benchmark (`benchmark/`, contract in `BENCHMARK.json`),
+//! which reads peak heap from [`peakmem`].
 
 use mcs::experiment::Experiment;
 use mcs::prelude::*;

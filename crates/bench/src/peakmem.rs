@@ -6,8 +6,9 @@
 //! reset at their start. The overhead is two relaxed atomic operations per
 //! allocation — invisible next to the allocations themselves — which is
 //! what lets the harness report a peak-memory column next to every timing
-//! row and lets `perf_baseline` commit flat-memory claims (streaming trace
-//! sinks) as checkable numbers rather than prose.
+//! row, the repository benchmark report `peak_heap_mib`, and
+//! `tests/peak_heap.rs` check the streaming trace sink's flat-memory claim
+//! as a number rather than prose.
 //!
 //! The `#[global_allocator]` registration lives here, so every binary and
 //! bench target of this crate is instrumented automatically. Library users

@@ -35,17 +35,23 @@ done
 # default-config trace (the same composition scenario_golden.rs pins).
 "./target/release/chaos_sweep" --check-invariants
 
-# Perf-baseline gate: a 2-sample smoke run of the tracked benchmarks must
-# produce a JSON artifact that the in-house codec parses back with a sane
-# shape, and the committed BENCH_*.json series must stay valid too.
-MCS_BENCH_SAMPLES=2 MCS_BENCH_WARMUP_MS=0 \
-    "./target/release/perf_baseline" --json "$tmpdir/bench_smoke.json"
-"./target/release/perf_baseline" --check "$tmpdir/bench_smoke.json"
-for baseline in BENCH_4.json BENCH_7.json BENCH_9.json BENCH_10.json; do
-    if [ -f "$baseline" ]; then
-        "./target/release/perf_baseline" --check "$baseline"
-    fi
-done
+# Benchmark smoke run: a 1-second composed_batch run must finish correct
+# with no failed reps, and `--compare` of its result against itself must
+# judge no workload worse (the benchmark's regression verdict).
+bench=(cargo run -q --release --offline --manifest-path benchmark/Cargo.toml --)
+"${bench[@]}" --workload composed_batch --seconds 1 --json "$tmpdir/bench.json" \
+    > "$tmpdir/bench.txt"
+summary="$(tail -n 1 "$tmpdir/bench.txt")"
+if [[ "$summary" != *'"correct":true'* || "$summary" != *'"failed":0,'* ]]; then
+    echo "verify: FAIL — benchmark smoke run: $summary" >&2
+    exit 1
+fi
+"${bench[@]}" --compare "$tmpdir/bench.json" "$tmpdir/bench.json" > "$tmpdir/compare.txt"
+cat "$tmpdir/compare.txt"
+if ! grep -q '^composed_batch ' "$tmpdir/compare.txt" || grep -qw 'worse' "$tmpdir/compare.txt"; then
+    echo "verify: FAIL — benchmark --compare of the smoke run against itself" >&2
+    exit 1
+fi
 
 # Allow-lint gate: the engine-migrated crates stay clean — no new `#[allow]`
 # escapes into their sources (the BSP stepper carries the single
@@ -58,4 +64,4 @@ if [ "$allow_count" -gt "$allow_budget" ]; then
     exit 1
 fi
 
-echo "verify: OK (offline build + tests + clippy + benchmark tests + par-aware determinism diffs + report snapshots + invariant gate + bench smoke + allow-lint budget)"
+echo "verify: OK (offline build + tests + clippy + benchmark tests + par-aware determinism diffs + report snapshots + invariant gate + benchmark smoke + self-compare + allow-lint budget)"
