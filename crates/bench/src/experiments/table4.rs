@@ -35,16 +35,19 @@ impl Experiment for Table4UseCases {
 
         // §6.2 e-science workflows (exogenous).
         {
-            let mut generator = WorkflowWorkloadGenerator::new(WorkflowWorkloadConfig {
-                arrival_rate: 0.003,
-                width: 10,
-                ..Default::default()
-            });
+            let shape =
+                DagShape { width: 10, work: 150.0, cores: 1.0, memory_gb: 2.0, edge_bytes: 0 };
             let mut rng = RngStream::new(seed, "t4-escience");
-            let wfs = generator.generate(SimTime::from_secs(86_400), 60, &mut rng);
+            let wfs = poisson_workflows(0.003, &shape, SimTime::from_secs(86_400), 60, &mut rng);
+            // Compute only: the batch scheduler ships no edge bytes.
             let cp: f64 =
-                wfs.iter().map(|w| w.critical_path_seconds()).sum::<f64>() / wfs.len() as f64;
-            let jobs: Vec<Job> = wfs.into_iter().map(Workflow::into_job).collect();
+                wfs.iter().map(|(_, dag)| dag.critical_path_secs(f64::INFINITY)).sum::<f64>()
+                    / wfs.len() as f64;
+            let jobs: Vec<Job> = wfs
+                .iter()
+                .enumerate()
+                .map(|(i, (at, dag))| dag.to_job(JobId(i as u64), UserId(0), *at))
+                .collect();
             let out = ClusterScheduler::new(standard_cluster(), SchedulerConfig::default(), seed)
                 .run(jobs, horizon);
             rows.push(vec![

@@ -831,13 +831,6 @@ impl Scenario {
         &self.config
     }
 
-    /// Mutable access to the configuration — the hook
-    /// [`crate::subsystem::Subsystem::attach`] implementations use to
-    /// contribute their sub-config to a scenario under construction.
-    pub fn config_mut(&mut self) -> &mut ScenarioConfig {
-        &mut self.config
-    }
-
     /// Replaces the autoscaler governing the FaaS platform.
     #[must_use]
     pub fn with_autoscaler(mut self, autoscaler: Box<dyn Autoscaler>) -> Self {

@@ -1,5 +1,4 @@
-//! One shape for every subsystem: attach to a scenario, report from the
-//! trace.
+//! One shape for every subsystem: report from the trace.
 //!
 //! Before this module, each subsystem kept its own legacy driver with its
 //! own signature — `faas::platform::FaasPlatform::run(Vec<Invocation>)`,
@@ -9,13 +8,11 @@
 //! nothing in common: you could not take the batch slice of an ecosystem
 //! run and compare it like-for-like with a standalone scheduler run.
 //!
-//! [`Subsystem`] is the unified surface. Every subsystem does exactly two
-//! things:
-//!
-//! 1. [`Subsystem::attach`] — contribute its configuration to a
-//!    [`Scenario`] under construction, so the composed engine run hosts it;
-//! 2. [`Subsystem::report`] — reduce the shared [`TraceBus`] to its
-//!    [`SubsystemReport`], a flat list of named metrics.
+//! [`Subsystem`] is the unified surface: [`Subsystem::report`] reduces the
+//! shared [`TraceBus`] to a [`SubsystemReport`], a flat list of named
+//! metrics. A composed run is built with `ScenarioConfig`'s `with_*`
+//! methods and validated once by `Scenario::try_new`; nothing changes its
+//! configuration afterwards.
 //!
 //! Because `report` reads only the trace (never a subsystem-private
 //! outcome), the same reporting code serves a standalone single-actor run,
@@ -24,9 +21,6 @@
 //! trace produced by [`Federated::record_outcome`]. What a subsystem did is
 //! exactly what it emitted; there is no side channel.
 
-use crate::scenario::{
-    BatchConfig, BigdataConfig, FaasConfig, FailureConfig, GamingConfig, GraphConfig, Scenario,
-};
 use mcs_rms::multicluster::FederationOutcome;
 use mcs_simcore::time::SimTime;
 use mcs_simcore::codec::Json;
@@ -50,15 +44,10 @@ impl SubsystemReport {
     }
 }
 
-/// The unified subsystem surface: attach to a composed scenario, report
-/// from the shared trace.
+/// The unified subsystem surface: report from the shared trace.
 pub trait Subsystem {
     /// The subsystem's name — also its component name on the trace bus.
     fn name(&self) -> &'static str;
-
-    /// Contributes this subsystem's configuration to `scenario`, so the
-    /// composed run hosts it on the shared engine.
-    fn attach(&self, scenario: &mut Scenario);
 
     /// Reduces the shared trace to this subsystem's metrics. Works on any
     /// trace that carries the subsystem's component records: a composed
@@ -85,16 +74,12 @@ fn sum_field(events: &[&TraceEvent], key: &str) -> f64 {
 
 /// The batch-computing subsystem (the legacy
 /// `ClusterScheduler::run(jobs, horizon)` surface).
-#[derive(Debug, Clone, Default)]
-pub struct Batch(pub BatchConfig);
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Batch;
 
 impl Subsystem for Batch {
     fn name(&self) -> &'static str {
         "rms"
-    }
-
-    fn attach(&self, scenario: &mut Scenario) {
-        scenario.config_mut().batch = Some(self.0.clone());
     }
 
     fn report(&self, trace: &TraceBus) -> SubsystemReport {
@@ -117,16 +102,12 @@ impl Subsystem for Batch {
 
 /// The serverless subsystem (the legacy
 /// `FaasPlatform::run(invocations)` surface).
-#[derive(Debug, Clone, Default)]
-pub struct Serverless(pub FaasConfig);
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Serverless;
 
 impl Subsystem for Serverless {
     fn name(&self) -> &'static str {
         "faas"
-    }
-
-    fn attach(&self, scenario: &mut Scenario) {
-        scenario.config_mut().faas = Some(self.0.clone());
     }
 
     fn report(&self, trace: &TraceBus) -> SubsystemReport {
@@ -146,16 +127,12 @@ impl Subsystem for Serverless {
 }
 
 /// The correlated-failure subsystem.
-#[derive(Debug, Clone, Default)]
-pub struct Failures(pub FailureConfig);
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Failures;
 
 impl Subsystem for Failures {
     fn name(&self) -> &'static str {
         "failure"
-    }
-
-    fn attach(&self, scenario: &mut Scenario) {
-        scenario.config_mut().failure = Some(self.0.clone());
     }
 
     fn report(&self, trace: &TraceBus) -> SubsystemReport {
@@ -170,16 +147,12 @@ impl Subsystem for Failures {
 }
 
 /// The MapReduce/dataflow subsystem.
-#[derive(Debug, Clone, Default)]
-pub struct Bigdata(pub BigdataConfig);
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Bigdata;
 
 impl Subsystem for Bigdata {
     fn name(&self) -> &'static str {
         "bigdata"
-    }
-
-    fn attach(&self, scenario: &mut Scenario) {
-        scenario.config_mut().bigdata = Some(self.0.clone());
     }
 
     fn report(&self, trace: &TraceBus) -> SubsystemReport {
@@ -202,16 +175,12 @@ impl Subsystem for Bigdata {
 }
 
 /// The graph-analytics subsystem.
-#[derive(Debug, Clone, Default)]
-pub struct GraphAnalytics(pub GraphConfig);
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GraphAnalytics;
 
 impl Subsystem for GraphAnalytics {
     fn name(&self) -> &'static str {
         "graph"
-    }
-
-    fn attach(&self, scenario: &mut Scenario) {
-        scenario.config_mut().graph = Some(self.0.clone());
     }
 
     fn report(&self, trace: &TraceBus) -> SubsystemReport {
@@ -238,16 +207,12 @@ impl Subsystem for GraphAnalytics {
 }
 
 /// The gaming virtual-world subsystem.
-#[derive(Debug, Clone, Default)]
-pub struct Gaming(pub GamingConfig);
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Gaming;
 
 impl Subsystem for Gaming {
     fn name(&self) -> &'static str {
         "gaming"
-    }
-
-    fn attach(&self, scenario: &mut Scenario) {
-        scenario.config_mut().gaming = Some(self.0.clone());
     }
 
     fn report(&self, trace: &TraceBus) -> SubsystemReport {
@@ -275,16 +240,12 @@ impl Subsystem for Gaming {
 /// surface).
 ///
 /// The federation's router is a *fluid* backlog model, not an engine actor,
-/// so it cannot attach additional actors to the composed run. Its unified
-/// shape is therefore asymmetric by design: [`Subsystem::attach`]
-/// contributes the federation's aggregate fleet as the scenario's batch
-/// slice (the composed run schedules on the pooled capacity), while
-/// standalone federated runs go through [`Federated::record_outcome`] to
-/// synthesize `federation` trace records from a [`FederationOutcome`] —
-/// after which [`Subsystem::report`] works identically on both kinds of
-/// bus.
-#[derive(Debug, Clone, Default)]
-pub struct Federated(pub BatchConfig);
+/// so a composed run never hosts it. Standalone federated runs go through
+/// [`Federated::record_outcome`] to synthesize `federation` trace records
+/// from a [`FederationOutcome`], after which [`Subsystem::report`] reads
+/// them like any other subsystem's records.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Federated;
 
 impl Federated {
     /// Synthesizes `federation` trace records from a fluid-model outcome,
@@ -324,10 +285,6 @@ impl Subsystem for Federated {
         "federation"
     }
 
-    fn attach(&self, scenario: &mut Scenario) {
-        scenario.config_mut().batch = Some(self.0.clone());
-    }
-
     fn report(&self, trace: &TraceBus) -> SubsystemReport {
         let clusters = trace.select("federation", "cluster_outcome");
         let routing = trace.select("federation", "routing");
@@ -348,40 +305,43 @@ impl Subsystem for Federated {
     }
 }
 
-/// Every subsystem of the full-stack scenario, in attach order. Convenience
-/// for experiments that want the whole ecosystem reported uniformly.
+/// Every subsystem of the full-stack scenario. Convenience for experiments
+/// that want the whole ecosystem reported uniformly.
 pub fn full_stack() -> Vec<Box<dyn Subsystem>> {
     vec![
-        Box::new(Batch::default()),
-        Box::new(Serverless::default()),
-        Box::new(Failures::default()),
-        Box::new(Bigdata::default()),
-        Box::new(GraphAnalytics::default()),
-        Box::new(Gaming::default()),
+        Box::new(Batch),
+        Box::new(Serverless),
+        Box::new(Failures),
+        Box::new(Bigdata),
+        Box::new(GraphAnalytics),
+        Box::new(Gaming),
     ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{Scenario, ScenarioConfig};
+    use crate::scenario::{
+        BatchConfig, BigdataConfig, FaasConfig, FailureConfig, GamingConfig, GraphConfig,
+        Scenario, ScenarioConfig,
+    };
     use mcs_simcore::time::SimTime;
 
-    fn attached_scenario() -> Scenario {
-        let mut scenario = Scenario::new(ScenarioConfig::bare(
-            11,
-            SimTime::from_secs(2 * 3600),
-            12,
-        ));
-        for subsystem in full_stack() {
-            subsystem.attach(&mut scenario);
-        }
-        scenario
+    fn full_stack_scenario() -> Scenario {
+        Scenario::new(
+            ScenarioConfig::bare(11, SimTime::from_secs(2 * 3600), 12)
+                .with_batch(BatchConfig::default())
+                .with_faas(FaasConfig::default())
+                .with_failures(FailureConfig::default())
+                .with_bigdata(BigdataConfig::default())
+                .with_graph(GraphConfig::default())
+                .with_gaming(GamingConfig::default()),
+        )
     }
 
     #[test]
-    fn attach_composes_and_report_reads_the_shared_trace() {
-        let out = attached_scenario().run();
+    fn every_subsystem_reports_from_the_shared_trace() {
+        let out = full_stack_scenario().run();
         for subsystem in full_stack() {
             let report = subsystem.report(&out.trace);
             assert!(
@@ -390,11 +350,11 @@ mod tests {
                 report.name
             );
         }
-        let batch = Batch::default().report(&out.trace);
+        let batch = Batch.report(&out.trace);
         assert!(batch.get("tasks_finished").unwrap_or(0.0) > 0.0);
-        let faas = Serverless::default().report(&out.trace);
+        let faas = Serverless.report(&out.trace);
         assert!(faas.get("invocations").unwrap_or(0.0) > 0.0);
-        let gaming = Gaming::default().report(&out.trace);
+        let gaming = Gaming.report(&out.trace);
         assert!(gaming.get("players_admitted").unwrap_or(0.0) > 0.0);
     }
 
@@ -403,12 +363,12 @@ mod tests {
         // A standalone single-subsystem run and the same subsystem's slice
         // of a composed run report through the identical code path.
         let standalone = mcs_gaming::actor::run_gaming_standalone(
-            &crate::scenario::GamingConfig::default(),
+            &GamingConfig::default(),
             11,
             SimTime::from_secs(2 * 3600),
         );
-        let solo = Gaming::default().report(&standalone);
-        let composed = Gaming::default().report(&attached_scenario().run().trace);
+        let solo = Gaming.report(&standalone);
+        let composed = Gaming.report(&full_stack_scenario().run().trace);
         let names =
             |r: &SubsystemReport| r.metrics.iter().map(|(m, _)| m.clone()).collect::<Vec<_>>();
         assert_eq!(names(&solo), names(&composed));
@@ -426,7 +386,7 @@ mod tests {
         };
         let mut trace = TraceBus::default();
         Federated::record_outcome(&outcome, &mut trace);
-        let report = Federated::default().report(&trace);
+        let report = Federated.report(&trace);
         assert_eq!(report.get("offloaded_jobs"), Some(7.0));
         assert_eq!(report.get("transfer_delay_secs"), Some(12.5));
     }

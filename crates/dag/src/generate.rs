@@ -7,10 +7,13 @@
 //! inspiral pipelines (parallel match-filter chains between a split and a
 //! coincidence merge). All randomness comes from the caller's
 //! [`RngStream`], so a `(seed, class, parameters)` triple always produces
-//! the identical [`DagJob`].
+//! the identical [`DagJob`]. [`poisson_workflows`] strings them into an
+//! open arrival stream.
 
 use crate::job::{DagEdge, DagJob, DagTask};
 use mcs_simcore::rng::RngStream;
+use mcs_simcore::time::SimTime;
+use mcs_workload::arrival::{ArrivalProcess, Poisson};
 
 /// The workflow classes the generators cover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,6 +85,32 @@ pub fn generate(class: DagClass, shape: &DagShape, rng: &mut RngStream) -> DagJo
         DagClass::Ligo => ligo_like(shape, rng),
     };
     dag.expect("generator emitted an invalid DAG")
+}
+
+/// Workflows arriving as a Poisson process at `rate` per second in
+/// `[0, horizon)`, at most `max`, cycling [`DagClass::ALL`]: `(submit,
+/// workflow)` pairs in submission order. Arrival gaps and workflows draw
+/// from the one `rng`, so a `(seed, rate, shape)` triple is the stream.
+pub fn poisson_workflows(
+    rate: f64,
+    shape: &DagShape,
+    horizon: SimTime,
+    max: usize,
+    rng: &mut RngStream,
+) -> Vec<(SimTime, DagJob)> {
+    let mut arrivals = Poisson::new(rate);
+    let mut out = Vec::new();
+    let mut now = SimTime::ZERO;
+    while out.len() < max {
+        let Some(at) = arrivals.next_after(now, rng) else { break };
+        if at >= horizon {
+            break;
+        }
+        now = at;
+        let class = DagClass::ALL[out.len() % DagClass::ALL.len()];
+        out.push((at, generate(class, shape, rng)));
+    }
+    out
 }
 
 fn chain(shape: &DagShape, rng: &mut RngStream) -> Result<DagJob, crate::job::DagError> {
@@ -205,6 +234,18 @@ mod tests {
                 generate(class, &shape(), &mut a).tasks()[0].work,
             );
         }
+    }
+
+    #[test]
+    fn poisson_workflows_cycle_classes_within_the_horizon() {
+        let mut rng = RngStream::new(5, "dag-stream");
+        let horizon = SimTime::from_secs(3_600);
+        let stream = poisson_workflows(0.01, &shape(), horizon, 9, &mut rng);
+        assert!(stream.len() >= 4, "got {}", stream.len());
+        assert!(stream.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(stream.iter().all(|(at, _)| *at < horizon));
+        let sizes: Vec<usize> = stream.iter().take(4).map(|(_, dag)| dag.len()).collect();
+        assert_eq!(sizes, vec![5, 7, 16, 17]);
     }
 
     #[test]

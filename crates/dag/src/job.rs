@@ -6,7 +6,13 @@
 //! child. Construction validates the structure — in-range endpoints, no
 //! self-loops, acyclic (Kahn's algorithm), weakly connected — so every
 //! `DagJob` in circulation is schedulable by construction.
+//!
+//! [`DagJob::to_job`] lowers a workflow onto the batch scheduler's
+//! [`Job`], so `ClusterScheduler` and the federation run the same model.
 
+use mcs_infra::resource::ResourceVector;
+use mcs_simcore::time::SimTime;
+use mcs_workload::task::{Job, JobId, JobKind, Task, TaskId, UserId};
 use std::fmt;
 
 /// One task of a workflow.
@@ -226,6 +232,30 @@ impl DagJob {
     pub fn critical_path_secs(&self, ref_bandwidth: f64) -> f64 {
         self.upward_ranks(ref_bandwidth).into_iter().fold(0.0, f64::max)
     }
+
+    /// Lowers the workflow to a batch [`Job`] of kind
+    /// [`JobKind::Workflow`]: task `i` becomes `TaskId((id << 32) | i)`, so
+    /// ids stay unique across a workload of lowered jobs, and depends on
+    /// the sources of its in-edges. Edge bytes are dropped — the batch
+    /// scheduler has no network.
+    pub fn to_job(&self, id: JobId, user: UserId, submit: SimTime) -> Job {
+        let task_id = |i: usize| TaskId((id.0 << 32) | i as u64);
+        let tasks = self
+            .tasks
+            .iter()
+            .zip(&self.in_edges)
+            .enumerate()
+            .map(|(i, (t, ins))| Task {
+                id: task_id(i),
+                job: id,
+                demand_core_seconds: t.work,
+                req: ResourceVector::new(t.cores, t.memory_gb),
+                dependencies: ins.iter().map(|&e| task_id(self.edges[e].from)).collect(),
+                deadline: None,
+            })
+            .collect();
+        Job { id, user, kind: JobKind::Workflow, submit, tasks }
+    }
 }
 
 #[cfg(test)]
@@ -290,6 +320,38 @@ mod tests {
             DagJob::new(vec![task(1.0), task(1.0)], vec![]),
             Err(DagError::Disconnected)
         );
+    }
+
+    #[test]
+    fn to_job_lowers_every_class() {
+        use crate::generate::{generate, DagClass, DagShape};
+        use mcs_simcore::rng::RngStream;
+        let shape = DagShape { width: 5, work: 100.0, cores: 2.0, memory_gb: 4.0, edge_bytes: 1 };
+        for class in DagClass::ALL {
+            let mut rng = RngStream::new(3, "to-job");
+            let dag = generate(class, &shape, &mut rng);
+            let jobs: Vec<Job> = (0..2)
+                .map(|j| dag.to_job(JobId(j), UserId(7), SimTime::from_secs(j)))
+                .collect();
+            for job in &jobs {
+                assert_eq!(job.kind, JobKind::Workflow);
+                let deps: usize = job.tasks.iter().map(|t| t.dependencies.len()).sum();
+                assert_eq!(deps, dag.edges().len(), "{}", class.name());
+                for e in dag.edges() {
+                    assert!(job.tasks[e.to].dependencies.contains(&job.tasks[e.from].id));
+                }
+                for (t, d) in job.tasks.iter().zip(dag.tasks()) {
+                    assert_eq!(t.job, job.id);
+                    assert_eq!(t.demand_core_seconds, d.work);
+                    assert_eq!((t.req.cpu_cores, t.req.memory_gb), (d.cores, d.memory_gb));
+                }
+            }
+            let mut ids: Vec<TaskId> =
+                jobs.iter().flat_map(|j| j.tasks.iter().map(|t| t.id)).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(ids.len(), 2 * dag.len(), "{}", class.name());
+        }
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //!   [`job::DagEdge`]s, with HEFT upward ranks and a critical-path bound.
 //! - [`generate`] — deterministic generators for the canonical science
 //!   shapes: chains, fork-join bags, Montage-like mosaics, LIGO-like
-//!   inspiral pipelines.
+//!   inspiral pipelines; [`generate::poisson_workflows`] strings them into
+//!   a Poisson arrival stream, and [`job::DagJob::to_job`] lowers each
+//!   onto the batch scheduler's `Job`. This is the workspace's only
+//!   workflow model.
 //! - [`portfolio`] — [`portfolio::lookahead_makespan`], a pure simulate-ahead
 //!   list scheduler, and [`portfolio::DagPortfolio`], which races candidate
 //!   policies per workflow class and caches the winner.
@@ -45,14 +48,14 @@ pub mod job;
 pub mod portfolio;
 
 pub use actor::{DagActor, DagConfig, DagMsg, DagPolicy, EdgeHook, EdgeTransfer, DAG_COMPONENT};
-pub use generate::{generate, DagClass, DagShape};
+pub use generate::{generate, poisson_workflows, DagClass, DagShape};
 pub use job::{DagEdge, DagError, DagJob, DagTask};
 pub use portfolio::{data_home, lookahead_makespan, DagClusterSpec, DagPortfolio};
 
 /// Convenient glob-import surface: `use mcs_dag::prelude::*;`.
 pub mod prelude {
     pub use crate::actor::{DagActor, DagConfig, DagMsg, DagPolicy, EdgeTransfer};
-    pub use crate::generate::{generate, DagClass, DagShape};
+    pub use crate::generate::{generate, poisson_workflows, DagClass, DagShape};
     pub use crate::job::{DagEdge, DagJob, DagTask};
     pub use crate::portfolio::{lookahead_makespan, DagClusterSpec, DagPortfolio};
 }

@@ -4,6 +4,15 @@
 //! network model: sites connected by links with latency and bandwidth,
 //! shortest-latency routing, and transfer-time estimation for wide-area
 //! analytics and offloading.
+//!
+//! This is not a second fabric beside `mcs-net`. [`Topology`] is a static
+//! estimator: it answers "how long would `bytes` take from site `a` to
+//! site `b` on an idle shortest-latency path", which is all the fluid
+//! `mcs-rms::multicluster::Federation` router asks when it weighs an
+//! offload. It holds no flows, shares no bandwidth and keeps no time.
+//! `mcs-net` zones would model contention the router never reads, and
+//! `mcs-rms` does not depend on `mcs-net` (which sits beside it, above
+//! `mcs-simcore` only), so the federation keeps this estimator.
 
 use crate::cluster::{DatacenterId, GeoLocation};
 use mcs_simcore::time::SimDuration;

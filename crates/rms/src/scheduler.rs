@@ -472,7 +472,8 @@ impl<'a, M: MessageEnvelope<RmsMsg>> SchedulerActor<'a, M> {
         for (j, job) in jobs.iter().enumerate() {
             for t in &job.tasks {
                 let idx = flat.len();
-                index.insert(t.id, idx);
+                let prev = index.insert(t.id, idx);
+                assert!(prev.is_none(), "duplicate task id {} in the workload", t.id);
                 let feasible = cluster.machines().iter().any(|m| t.req.fits_in(&m.capacity()));
                 flat.push(FlatTask {
                     id: t.id,
@@ -1127,6 +1128,16 @@ mod tests {
         let c0 = out.completions.iter().find(|c| c.task == TaskId(0)).unwrap();
         let c1 = out.completions.iter().find(|c| c.task == TaskId(1)).unwrap();
         assert!(c1.start >= c0.finish);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate task id")]
+    fn duplicate_task_ids_are_rejected() {
+        // Job 1's task reuses job 0's id, and would silently take over its
+        // dependency edges if the index overwrote it.
+        let mut clash = bag(1, 0, &[(10.0, 1.0)]);
+        clash.tasks[0].id = TaskId(0);
+        run(cluster(1, 4.0), SchedulerConfig::default(), vec![bag(0, 0, &[(10.0, 1.0)]), clash]);
     }
 
     #[test]

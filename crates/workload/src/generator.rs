@@ -1,16 +1,16 @@
 //! Domain workload generators.
 //!
 //! Each generator produces the statistically realistic workload of one of
-//! the paper's application domains (§6): grid/batch bags-of-tasks, e-science
-//! workflows, interactive services, ML/accelerator jobs, serverless function
+//! the paper's application domains (§6): grid/batch bags-of-tasks,
+//! interactive services, ML/accelerator jobs, serverless function
 //! invocations, and deadline-bound transactions. Parameters follow the fits
 //! published in the workload-characterization literature the paper cites
-//! (lognormal/Weibull runtimes, Zipf users, bursty arrivals).
+//! (lognormal/Weibull runtimes, Zipf users, bursty arrivals). E-science
+//! workflows come from `mcs-dag`'s generators.
 
 use crate::arrival::{ArrivalProcess, Mmpp2, Poisson};
 use crate::task::{Job, JobId, JobKind, Task, TaskId, UserId};
 use crate::trace::{Trace, TraceRecord};
-use crate::workflow::{Workflow, WorkflowShapes};
 use mcs_infra::resource::ResourceVector;
 use mcs_simcore::dist::{Dist, Sample};
 use mcs_simcore::rng::RngStream;
@@ -142,74 +142,6 @@ impl BatchWorkloadGenerator {
     }
 }
 
-/// Configuration for the e-science workflow workload (§6.2).
-#[derive(Debug, Clone)]
-pub struct WorkflowWorkloadConfig {
-    /// Mean arrival rate, workflows/second.
-    pub arrival_rate: f64,
-    /// Task-demand distribution, core-seconds.
-    pub task_demand: Dist,
-    /// Width parameter of generated DAGs.
-    pub width: usize,
-    /// Number of distinct users.
-    pub users: u32,
-}
-
-impl Default for WorkflowWorkloadConfig {
-    fn default() -> Self {
-        WorkflowWorkloadConfig {
-            arrival_rate: 0.01,
-            task_demand: Dist::LogNormal { mu: 4.5, sigma: 1.0 },
-            width: 8,
-            users: 8,
-        }
-    }
-}
-
-/// Generates a mixture of chain, fork-join, and Montage-like workflows.
-#[derive(Debug)]
-pub struct WorkflowWorkloadGenerator {
-    config: WorkflowWorkloadConfig,
-    shapes: WorkflowShapes,
-    next_job: u64,
-}
-
-impl WorkflowWorkloadGenerator {
-    /// Creates a generator for the given configuration.
-    pub fn new(config: WorkflowWorkloadConfig) -> Self {
-        WorkflowWorkloadGenerator { config, shapes: WorkflowShapes::new(), next_job: 0 }
-    }
-
-    /// Generates workflows arriving in `[0, horizon)`, at most `max`.
-    pub fn generate(&mut self, horizon: SimTime, max: usize, rng: &mut RngStream) -> Vec<Workflow> {
-        let mut arrivals = Poisson::new(self.config.arrival_rate);
-        let mut out = Vec::new();
-        let mut now = SimTime::ZERO;
-        while out.len() < max {
-            let Some(at) = arrivals.next_after(now, rng) else { break };
-            if at >= horizon {
-                break;
-            }
-            now = at;
-            out.push(self.one_workflow(at, rng));
-        }
-        out
-    }
-
-    fn one_workflow(&mut self, submit: SimTime, rng: &mut RngStream) -> Workflow {
-        let id = JobId(self.next_job);
-        self.next_job += 1;
-        let user = UserId(rng.uniform_usize(self.config.users as usize) as u32);
-        let demand = self.config.task_demand.sample(rng).max(1.0);
-        let req = ResourceVector::new(1.0, 2.0);
-        match rng.uniform_usize(3) {
-            0 => self.shapes.chain(id, user, submit, self.config.width.max(2), demand, req),
-            1 => self.shapes.fork_join(id, user, submit, self.config.width, demand, req),
-            _ => self.shapes.montage_like(id, user, submit, self.config.width, demand, req, rng),
-        }
-    }
-}
-
 /// Generates deadline-bound transaction jobs (banking, §6.4): short, small,
 /// and each carrying a hard completion deadline.
 #[derive(Debug)]
@@ -331,27 +263,6 @@ mod tests {
         assert_eq!(a.users, b.users);
         assert!((a.runtime.mean - b.runtime.mean).abs() < 1e-9);
         assert!((a.total_core_seconds - b.total_core_seconds).abs() < 1e-6);
-    }
-
-    #[test]
-    fn workflow_generator_mixture() {
-        let mut g = WorkflowWorkloadGenerator::new(WorkflowWorkloadConfig::default());
-        let mut rng = RngStream::new(9, "wf");
-        let wfs = g.generate(SimTime::from_secs(100_000), 50, &mut rng);
-        assert!(wfs.len() >= 20);
-        let depths: Vec<usize> = wfs.iter().map(|w| w.depth()).collect();
-        // The mixture must contain both deep chains and shallow fork-joins.
-        assert!(depths.iter().any(|&d| d >= 6));
-        assert!(depths.iter().any(|&d| d <= 3));
-        // Task ids must be globally unique across workflows.
-        let mut ids: Vec<u64> = wfs
-            .iter()
-            .flat_map(|w| w.job().tasks.iter().map(|t| t.id.0))
-            .collect();
-        let before = ids.len();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), before);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! # mcs-workload — workload models, generators, and traces
 //!
-//! The workload substrate of the MCS workspace: tasks, jobs, validated DAG
-//! workflows, bursty/diurnal arrival processes, GWA-style traces, and
-//! per-domain workload generators (grid batch, e-science workflows,
-//! deadline transactions).
+//! The workload substrate of the MCS workspace: tasks, jobs, bursty/diurnal
+//! arrival processes, GWA-style traces, and per-domain workload generators
+//! (grid batch, deadline transactions). Workflow DAGs live in `mcs-dag`,
+//! which lowers them onto this crate's [`task::Job`].
 //!
 //! The paper's challenges C3 (vicissitude: workload mixes changing
 //! arbitrarily over time) and C7 (drastically changing workloads over short
@@ -25,7 +25,6 @@ pub mod arrival;
 pub mod generator;
 pub mod task;
 pub mod trace;
-pub mod workflow;
 
 /// Convenience re-exports.
 pub mod prelude {
@@ -33,9 +32,7 @@ pub mod prelude {
     pub use crate::arrival::{ArrivalProcess, Diurnal, Mmpp2, Poisson};
     pub use crate::generator::{
         BatchWorkloadConfig, BatchWorkloadGenerator, TransactionWorkloadGenerator,
-        WorkflowWorkloadConfig, WorkflowWorkloadGenerator,
     };
     pub use crate::task::{Job, JobId, JobKind, Task, TaskCompletion, TaskId, UserId};
     pub use crate::trace::{Trace, TraceRecord, TraceStats};
-    pub use crate::workflow::{Workflow, WorkflowError, WorkflowShapes};
 }

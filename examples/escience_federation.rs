@@ -27,23 +27,14 @@ fn make_clusters() -> (Vec<Cluster>, Vec<DatacenterId>, Topology) {
 }
 
 fn workflows(seed: u64) -> Vec<Job> {
-    let mut generator = WorkflowWorkloadGenerator::new(WorkflowWorkloadConfig {
-        arrival_rate: 0.01,
-        width: 12,
-        users: 6,
-        task_demand: mcs::simcore::dist::Dist::LogNormal { mu: 6.0, sigma: 1.0 },
-    });
+    let shape = DagShape { width: 12, work: 600.0, cores: 1.0, memory_gb: 2.0, edge_bytes: 0 };
     let mut rng = RngStream::new(seed, "escience");
-    generator
-        .generate(SimTime::from_secs(86_400), 240, &mut rng)
+    poisson_workflows(0.01, &shape, SimTime::from_secs(86_400), 240, &mut rng)
         .into_iter()
-        .map(|w| {
-            let mut job = w.into_job();
-            // Every lab submits from the small campus cluster (home = 1):
-            // the C10 question is whether the federation relieves it.
-            job.user = UserId(1);
-            job
-        })
+        .enumerate()
+        // Every lab submits from the small campus cluster (home = 1): the
+        // C10 question is whether the federation relieves it.
+        .map(|(i, (at, dag))| dag.to_job(JobId(i as u64), UserId(1), at))
         .collect()
 }
 
@@ -81,22 +72,12 @@ fn main() {
 
     // Critical-path analysis of one ensemble member (the e-science
     // scheduling lower bound).
-    let mut shapes = WorkflowShapes::new();
-    let mut rng = RngStream::new(3, "cp");
-    let wf = shapes.montage_like(
-        JobId(9_999),
-        UserId(0),
-        SimTime::ZERO,
-        12,
-        120.0,
-        mcs::infra::resource::ResourceVector::new(1.0, 2.0),
-        &mut rng,
-    );
+    let shape = DagShape { width: 12, work: 120.0, cores: 1.0, memory_gb: 2.0, edge_bytes: 0 };
+    let dag = generate(DagClass::Montage, &shape, &mut RngStream::new(3, "cp"));
     println!(
-        "example montage-like DAG: {} tasks, depth {}, max width {}, critical path {:.0}s",
-        wf.job().tasks.len(),
-        wf.depth(),
-        wf.max_width(),
-        wf.critical_path_seconds(),
+        "example montage-like DAG: {} tasks, {} edges, critical path {:.0}s",
+        dag.len(),
+        dag.edges().len(),
+        dag.critical_path_secs(f64::INFINITY),
     );
 }

@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | [`simcore`] | `mcs-simcore` | Deterministic discrete-event kernel, RNG streams, distributions, metrics |
 //! | [`infra`] | `mcs-infra` | Heterogeneous machines, clusters, datacenters, WAN topology, power/cost |
-//! | [`workload`] | `mcs-workload` | Tasks, workflows, bursty/diurnal arrivals, GWA-style traces, generators |
+//! | [`workload`] | `mcs-workload` | Tasks, jobs, bursty/diurnal arrivals, GWA-style traces, generators |
 //! | [`failure`] | `mcs-failure` | Independent / space- / time-correlated failure models, availability analysis |
 //! | [`net`] | `mcs-net` | Flow-level network model: rack topology, max-min fair sharing, cut/degraded links |
 //! | [`rms`] | `mcs-rms` | The dual scheduling problem: allocation, provisioning, federation, portfolio |

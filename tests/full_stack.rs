@@ -34,7 +34,8 @@ fn grid_day_with_correlated_failures_completes() {
     assert!(out.mean_utilization > 0.0 && out.mean_utilization <= 1.0);
 }
 
-/// Workflows respect dependencies end-to-end through the scheduler.
+/// Workflows of every `DagClass` respect dependencies end-to-end through the
+/// batch scheduler once lowered with `DagJob::to_job`.
 #[test]
 fn workflow_dependencies_hold_under_load() {
     let cluster = Cluster::homogeneous(
@@ -43,14 +44,16 @@ fn workflow_dependencies_hold_under_load() {
         MachineSpec::commodity("std-4", 4.0, 16.0),
         8,
     );
-    let mut generator = WorkflowWorkloadGenerator::new(WorkflowWorkloadConfig {
-        arrival_rate: 0.01,
-        width: 6,
-        ..Default::default()
-    });
+    let shape = DagShape { width: 6, work: 90.0, cores: 1.0, memory_gb: 2.0, edge_bytes: 0 };
     let mut rng = RngStream::new(7, "wf-int");
-    let workflows = generator.generate(SimTime::from_secs(4 * 3600), 30, &mut rng);
-    let jobs: Vec<Job> = workflows.iter().map(|w| w.job().clone()).collect();
+    let workflows = poisson_workflows(0.01, &shape, SimTime::from_secs(4 * 3600), 30, &mut rng);
+    // The stream cycles DagClass::ALL, so four workflows cover every class.
+    assert!(workflows.len() >= DagClass::ALL.len(), "only {} workflows", workflows.len());
+    let jobs: Vec<Job> = workflows
+        .iter()
+        .enumerate()
+        .map(|(i, (at, dag))| dag.to_job(JobId(i as u64), UserId(0), *at))
+        .collect();
     // Record dependency pairs for post-hoc verification.
     let mut dep_pairs = Vec::new();
     for j in &jobs {

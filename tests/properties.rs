@@ -149,40 +149,6 @@ fn elasticity_metrics_bounded() {
     });
 }
 
-/// Workflow validation accepts every generated DAG and its topological order
-/// respects dependencies.
-#[test]
-fn generated_workflows_are_valid() {
-    Check::new("generated_workflows_are_valid").cases(64).run(|rng| {
-        let seed = rng.uniform_usize(200) as u64;
-        let width = 2 + rng.uniform_usize(8);
-        let mut shapes = WorkflowShapes::new();
-        let mut wf_rng = RngStream::new(seed, "prop-wf");
-        let wf = shapes.montage_like(
-            JobId(0),
-            UserId(0),
-            SimTime::ZERO,
-            width,
-            10.0,
-            mcs::infra::resource::ResourceVector::cores(1.0),
-            &mut wf_rng,
-        );
-        let pos: std::collections::HashMap<TaskId, usize> = wf
-            .topological_order()
-            .iter()
-            .enumerate()
-            .map(|(rank, &idx)| (wf.job().tasks[idx].id, rank))
-            .collect();
-        for t in &wf.job().tasks {
-            for d in &t.dependencies {
-                prop_assert!(pos[d] < pos[&t.id]);
-            }
-        }
-        prop_assert!(wf.critical_path_seconds() > 0.0);
-        Ok(())
-    });
-}
-
 /// Trace JSON-lines round-trips preserve record counts and fields.
 #[test]
 fn trace_roundtrip() {
