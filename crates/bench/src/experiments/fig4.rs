@@ -26,7 +26,6 @@ impl Experiment for Fig4GamingEcosystem {
             amplitude: 0.6,
             period: SimDuration::from_hours(24),
             flash: Some((SimTime::from_secs(6 * 3600), SimDuration::from_hours(2), 3.0)),
-            ..Default::default()
         };
         let day = SimTime::from_secs(86_400);
         let mut rows = Vec::new();

@@ -30,7 +30,6 @@ fn config(seed: u64, locality_aware: bool) -> ScenarioConfig {
             submit_interval_secs: 120.0,
             input_mb: 4_096,
             map: MapPhaseConfig { locality_aware, ..MapPhaseConfig::default() },
-            ..BigdataConfig::default()
         })
         .with_network(NetworkConfig {
             node_bandwidth_mbs: 25.0,

@@ -61,7 +61,6 @@ fn config(seed: u64, resilience: ResilienceConfig) -> ScenarioConfig {
             // honest — a breaker can only avoid doomed work, never block a
             // would-be success.
             gray_error_rate: 1.0,
-            ..FaultMix::crash_only()
         },
         schedule: None,
     })

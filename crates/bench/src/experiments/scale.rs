@@ -78,7 +78,6 @@ pub fn scale_config(seed: u64, factor: f64, streaming: bool) -> ScenarioConfig {
                 low_watermark: 0.3,
                 boot_delay: SimDuration::from_secs(60),
             },
-            ..GamingConfig::default()
         })
         .with_network(NetworkConfig::default());
     if streaming {

@@ -8,7 +8,9 @@
 //! what lets the harness report a peak-memory column next to every timing
 //! row, the repository benchmark report `peak_heap_mib`, and
 //! `tests/peak_heap.rs` check the streaming trace sink's flat-memory claim
-//! as a number rather than prose.
+//! as a number rather than prose. `tests/peak_alloc.rs` checks the counters
+//! themselves; like `peak_heap.rs` it is a one-test binary, because a
+//! parallel test would move the process-wide counters mid-measurement.
 //!
 //! The `#[global_allocator]` registration lives here, so every binary and
 //! bench target of this crate is instrumented automatically. Library users
@@ -119,26 +121,6 @@ pub fn format_bytes(bytes: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn peak_tracks_a_large_allocation() {
-        let baseline = PEAK_ALLOC.reset_peak();
-        let block = vec![7u8; 4 << 20];
-        std::hint::black_box(&block);
-        let grown = PEAK_ALLOC.peak_bytes().saturating_sub(baseline);
-        assert!(grown >= 4 << 20, "peak growth {grown} should cover the 4 MiB block");
-        drop(block);
-        assert!(PEAK_ALLOC.live_bytes() < PEAK_ALLOC.peak_bytes());
-    }
-
-    #[test]
-    fn reset_peak_restarts_from_live() {
-        let held = vec![1u8; 1 << 20];
-        let live = PEAK_ALLOC.reset_peak();
-        assert!(live >= 1 << 20, "live {live} must include the held MiB");
-        assert!(PEAK_ALLOC.peak_bytes() >= live);
-        drop(held);
-    }
 
     #[test]
     fn format_bytes_picks_unit() {

@@ -4,7 +4,7 @@
 //! [`BlockStore`](crate::storage::BlockStore): each job runs `stages` rounds
 //! of map → shuffle → reduce, with the map phase scheduled through the real
 //! locality-aware list scheduler of [`crate::locality`] and the shuffle
-//! charged against a configurable network bandwidth. Node failures (fanned
+//! charged against a fixed network bandwidth. Node failures (fanned
 //! in from a scenario-level injector) degrade compute capacity and trigger
 //! re-replication, reproducing the Figure 1 claim that layers the developer
 //! does not control — storage, network — set the performance envelope.
@@ -26,6 +26,26 @@ use mcs_simcore::trace::{payload, TraceBus};
 /// Bytes per mebibyte.
 const MIB: u64 = 1024 * 1024;
 
+/// Block size, MiB.
+const BLOCK_MB: u64 = 128;
+/// Replication factor of the block store. A composed scenario rejects a
+/// fleet smaller than this.
+pub const REPLICATION: usize = 3;
+/// Nodes per rack in the storage topology.
+const NODES_PER_RACK: u32 = 8;
+/// Aggregate shuffle bandwidth, MiB/s — used only when no transfer hook is
+/// installed (legacy fixed-delay shuffles).
+const SHUFFLE_BANDWIDTH_MBS: f64 = 400.0;
+/// Fraction of stage input that crosses the network in the shuffle.
+const SHUFFLE_RATIO: f64 = 0.4;
+/// Parallel flows a phase's network traffic is split into when routed
+/// through the flow-level network model.
+const SHUFFLE_FANOUT: usize = 4;
+/// Reduce duration as a fraction of the (healthy) map makespan.
+const REDUCE_FACTOR: f64 = 0.5;
+/// Delay before a failed node's blocks are re-replicated, seconds.
+const RECOVERY_DELAY_SECS: f64 = 60.0;
+
 /// Configuration of the big-data subsystem inside a scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BigdataConfig {
@@ -37,26 +57,8 @@ pub struct BigdataConfig {
     pub submit_interval_secs: f64,
     /// Input size per job, MiB.
     pub input_mb: u64,
-    /// Block size, MiB.
-    pub block_mb: u64,
-    /// Replication factor of the block store.
-    pub replication: usize,
-    /// Nodes per rack in the storage topology.
-    pub nodes_per_rack: u32,
     /// Map-phase scheduling parameters.
     pub map: MapPhaseConfig,
-    /// Aggregate shuffle bandwidth, MiB/s — used only when no transfer hook
-    /// is installed (legacy fixed-delay shuffles).
-    pub shuffle_bandwidth_mbs: f64,
-    /// Fraction of stage input that crosses the network in the shuffle.
-    pub shuffle_ratio: f64,
-    /// Parallel flows a phase's network traffic is split into when routed
-    /// through the flow-level network model.
-    pub shuffle_fanout: usize,
-    /// Reduce duration as a fraction of the (healthy) map makespan.
-    pub reduce_factor: f64,
-    /// Delay before a failed node's blocks are re-replicated.
-    pub recovery_delay_secs: f64,
 }
 
 impl Default for BigdataConfig {
@@ -66,15 +68,7 @@ impl Default for BigdataConfig {
             stages_per_job: 2,
             submit_interval_secs: 600.0,
             input_mb: 2_048,
-            block_mb: 128,
-            replication: 3,
-            nodes_per_rack: 8,
             map: MapPhaseConfig::default(),
-            shuffle_bandwidth_mbs: 400.0,
-            shuffle_ratio: 0.4,
-            shuffle_fanout: 4,
-            reduce_factor: 0.5,
-            recovery_delay_secs: 60.0,
         }
     }
 }
@@ -175,12 +169,7 @@ impl<'a, M: MessageEnvelope<BigdataMsg>> DataflowActor<'a, M> {
     /// convention) so composition does not perturb other subsystems.
     pub fn new(config: BigdataConfig, machines: u32, mut rng: RngStream) -> Self {
         let store_seed = rng.next_u64();
-        let store = BlockStore::new(
-            machines.max(1),
-            config.nodes_per_rack.max(1),
-            config.replication.max(1),
-            store_seed,
-        );
+        let store = BlockStore::new(machines.max(1), NODES_PER_RACK, REPLICATION, store_seed);
         DataflowActor {
             config,
             store,
@@ -228,7 +217,7 @@ impl<'a, M: MessageEnvelope<BigdataMsg>> DataflowActor<'a, M> {
         if self.on_transfer.is_none() || bytes == 0 {
             return 0;
         }
-        let fanout = self.config.shuffle_fanout.clamp(1, bytes as usize);
+        let fanout = SHUFFLE_FANOUT.clamp(1, bytes as usize);
         let per_flow = bytes / fanout as u64;
         let mut sent = 0;
         for i in 0..fanout {
@@ -275,7 +264,7 @@ impl<'a, M: MessageEnvelope<BigdataMsg>> DataflowActor<'a, M> {
         let name = format!("job-{job}");
         let file = self
             .store
-            .put(&name, self.config.input_mb * MIB, self.config.block_mb * MIB)
+            .put(&name, self.config.input_mb * MIB, BLOCK_MB * MIB)
             .clone();
         ctx.emit(
             "bigdata",
@@ -358,9 +347,8 @@ impl<'a, M: MessageEnvelope<BigdataMsg>> DataflowActor<'a, M> {
     fn start_shuffle(&mut self, ctx: &mut Context<'_, M>, job: usize) {
         let Some(state) = self.jobs.get(job).and_then(Option::as_ref) else { return };
         let stage = state.stage;
-        let shuffle_bytes =
-            (self.config.input_mb as f64 * MIB as f64 * self.config.shuffle_ratio) as u64;
-        let secs = shuffle_bytes as f64 / (self.config.shuffle_bandwidth_mbs.max(1e-9) * MIB as f64);
+        let shuffle_bytes = (self.config.input_mb as f64 * MIB as f64 * SHUFFLE_RATIO) as u64;
+        let secs = shuffle_bytes as f64 / (SHUFFLE_BANDWIDTH_MBS * MIB as f64);
         ctx.emit(
             "bigdata",
             "shuffle_start",
@@ -412,7 +400,7 @@ impl<'a, M: MessageEnvelope<BigdataMsg>> DataflowActor<'a, M> {
             hook(ctx, job, false);
         }
         let state = self.jobs[job].as_ref().expect("job state checked above");
-        let secs = state.healthy_map_secs * self.config.reduce_factor * degradation;
+        let secs = state.healthy_map_secs * REDUCE_FACTOR * degradation;
         ctx.send_self(SimDuration::from_secs_f64(secs), M::wrap(BigdataMsg::ReduceDone(job)));
     }
 
@@ -464,7 +452,7 @@ impl<'a, M: MessageEnvelope<BigdataMsg>> DataflowActor<'a, M> {
         );
         if under > 0 {
             ctx.send_self(
-                SimDuration::from_secs_f64(self.config.recovery_delay_secs),
+                SimDuration::from_secs_f64(RECOVERY_DELAY_SECS),
                 M::wrap(BigdataMsg::Recover),
             );
         }

@@ -27,13 +27,13 @@
 use mcs_autoscale::autoscalers::{Autoscaler, React};
 use mcs_autoscale::governor::{GovernorActor, GovernorMsg};
 use mcs_autoscale::service::ServiceConfig;
-use mcs_bigdata::actor::{BdPhase, BigdataMsg, DataflowActor};
+use mcs_bigdata::actor::{BdPhase, BigdataMsg, DataflowActor, REPLICATION as BIGDATA_REPLICATION};
 use mcs_faas::actor::{CongestionConfig, FaasActor, FaasFault, FaasMsg};
 use mcs_faas::platform::{FaasPlatform, FunctionSpec, KeepAlivePolicy, PlatformReport};
 use mcs_failure::inject::{FailureEvent, FailureInjector, InjectorMsg};
 use mcs_failure::model::{FailureModel, Fault, FaultKind, FaultMix, SpaceCorrelatedFailures};
-use mcs_dag::actor::{DagActor, DagMsg};
-use mcs_gaming::actor::{GamingMsg, SyncConfig as GamingSyncConfig, WorldActor};
+use mcs_dag::actor::{DagActor, DagMsg, LOCALITY_DOMAINS as DAG_LOCALITY_DOMAINS};
+use mcs_gaming::actor::{GamingMsg, WorldActor};
 use mcs_net::actor::{FlowDone, FlowOwner, FlowTag, NetActor, NetFault, NetMsg, TransferReq};
 use mcs_net::topology::NetTopology;
 use mcs_graph::actor::{BspActor, GraphMsg};
@@ -112,6 +112,21 @@ impl_envelope!(Net, NetMsg);
 /// One mebibyte, as the byte unit of the network sub-config.
 const MIB: u64 = 1 << 20;
 
+/// Keep-alive window of the FaaS warm pool.
+const FAAS_KEEP_ALIVE: SimDuration = SimDuration::from_secs(600);
+/// FaaS invocation request payload carried caller → platform over the
+/// network, bytes.
+const FAAS_PAYLOAD_BYTES: u64 = 64 * 1024;
+/// FaaS response payload shipped back over the network per successful
+/// invocation, bytes.
+const FAAS_RESPONSE_BYTES: u64 = 256 * 1024;
+/// Checkpoint image fetched over the network before a killed batch task
+/// re-enters the queue, MiB (only exercised when restart resilience is on).
+const RMS_CHECKPOINT_MB: u64 = 64;
+/// A gaming sync burst whose flow takes longer than this, seconds, counts
+/// as lagged.
+const GAMING_LAG_BUDGET_SECS: f64 = 0.25;
+
 /// The batch-computing slice of a scenario: jobs through the RMS cluster
 /// scheduler under portfolio policy selection.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,8 +151,6 @@ pub struct FaasConfig {
     pub arrival_rate: f64,
     /// Hard cap on FaaS arrivals (guards pathological configurations).
     pub max_arrivals: usize,
-    /// Keep-alive window of the FaaS warm pool.
-    pub keep_alive: SimDuration,
     /// Initial FaaS concurrent-instance capacity.
     pub initial_capacity: usize,
     /// Autoscaling cadence and bounds (the governor's configuration).
@@ -152,7 +165,6 @@ impl Default for FaasConfig {
         FaasConfig {
             arrival_rate: 0.5,
             max_arrivals: 100_000,
-            keep_alive: SimDuration::from_secs(600),
             initial_capacity: 4,
             service: ServiceConfig {
                 scaling_interval: SimDuration::from_secs(300),
@@ -240,22 +252,6 @@ pub struct NetworkConfig {
     pub same_rack_latency: SimDuration,
     /// One-way propagation latency across racks.
     pub cross_rack_latency: SimDuration,
-    /// FaaS invocation request payload carried caller → platform, bytes.
-    pub faas_payload_bytes: u64,
-    /// FaaS response payload shipped back per successful invocation, bytes
-    /// (`0` disables response flows).
-    pub faas_response_bytes: u64,
-    /// Checkpoint image fetched before a killed batch task re-enters the
-    /// queue, MiB (only exercised when restart resilience is on).
-    pub rms_checkpoint_mb: u64,
-    /// Cadence of gaming world-state sync bursts.
-    pub gaming_sync_interval: SimDuration,
-    /// Fixed payload per gaming sync burst, bytes.
-    pub gaming_sync_base_bytes: u64,
-    /// Additional payload per online player, bytes.
-    pub gaming_sync_per_player_bytes: u64,
-    /// A sync burst that takes longer than this counts as lagged.
-    pub gaming_lag_budget: SimDuration,
     /// How long a flow may sit at a zero fair share (its endpoint cut) before
     /// the fabric aborts it with a `net/flow_aborted` record and the owner is
     /// told to retry or fail fast. `None` restores the pre-timeout behaviour:
@@ -271,13 +267,6 @@ impl Default for NetworkConfig {
             rack_bandwidth_mbs: 400.0,
             same_rack_latency: SimDuration::from_micros(200),
             cross_rack_latency: SimDuration::from_millis(1),
-            faas_payload_bytes: 64 * 1024,
-            faas_response_bytes: 256 * 1024,
-            rms_checkpoint_mb: 64,
-            gaming_sync_interval: SimDuration::from_secs(5),
-            gaming_sync_base_bytes: 256 * 1024,
-            gaming_sync_per_player_bytes: 4 * 1024,
-            gaming_lag_budget: SimDuration::from_millis(250),
             flow_timeout: Some(SimDuration::from_secs(60)),
         }
     }
@@ -548,16 +537,12 @@ impl ScenarioConfig {
             }
         }
         if let Some(bigdata) = &self.bigdata {
-            if bigdata.block_mb == 0 {
-                return Err(McsError::invalid_config("bigdata.block_mb", "must be positive"));
-            }
-            if bigdata.replication > self.machines {
+            if BIGDATA_REPLICATION > self.machines {
                 return Err(McsError::invalid_config(
                     "bigdata.replication",
                     "must not exceed the fleet size",
                 ));
             }
-            finite_positive("bigdata.shuffle_bandwidth_mbs", bigdata.shuffle_bandwidth_mbs)?;
             finite_non_negative("bigdata.submit_interval_secs", bigdata.submit_interval_secs)?;
         }
         if let Some(graph) = &self.graph {
@@ -567,9 +552,6 @@ impl ScenarioConfig {
             finite_non_negative("graph.submit_interval_secs", graph.submit_interval_secs)?;
         }
         if let Some(gaming) = &self.gaming {
-            if gaming.zone_capacity == 0 {
-                return Err(McsError::invalid_config("gaming.zone_capacity", "must be positive"));
-            }
             finite_non_negative("gaming.players.base_rate", gaming.players.base_rate)?;
         }
         if let Some(dag) = &self.dag {
@@ -584,12 +566,6 @@ impl ScenarioConfig {
             }
             finite_positive("network.node_bandwidth_mbs", network.node_bandwidth_mbs)?;
             finite_positive("network.rack_bandwidth_mbs", network.rack_bandwidth_mbs)?;
-            if network.gaming_sync_interval.is_zero() {
-                return Err(McsError::invalid_config(
-                    "network.gaming_sync_interval",
-                    "must be positive",
-                ));
-            }
             if !network.topology(self.machines).is_connected() {
                 return Err(McsError::invalid_config(
                     "network",
@@ -643,17 +619,16 @@ impl ScenarioConfig {
                 ));
             }
         }
-        if let (Some(dag), Some(network)) = (&self.dag, &self.network) {
+        if let (Some(_), Some(network)) = (&self.dag, &self.network) {
             let racks = self.machines.div_ceil(network.nodes_per_rack.max(1));
-            if racks < dag.locality_domains as usize {
+            if racks < DAG_LOCALITY_DOMAINS as usize {
                 warnings.push(ScenarioWarning::new(
                     "dag.locality_domains",
                     format!(
-                        "workload is laid out for {} locality domains but the fabric \
-                         has only {racks} rack(s); locality-first placement degrades \
-                         to blind best-fit beyond the rack count — widen the fleet or \
-                         lower nodes_per_rack / locality_domains",
-                        dag.locality_domains
+                        "workload is laid out for {DAG_LOCALITY_DOMAINS} locality domains \
+                         but the fabric has only {racks} rack(s); locality-first placement \
+                         degrades to blind best-fit beyond the rack count — widen the \
+                         fleet or lower nodes_per_rack"
                     ),
                 ));
             }
@@ -902,8 +877,8 @@ impl Scenario {
             }
         });
 
-        let mut platform = cfg.faas.as_ref().map(|faas| {
-            let mut platform = FaasPlatform::new(KeepAlivePolicy::Fixed(faas.keep_alive), cfg.seed);
+        let mut platform = cfg.faas.is_some().then(|| {
+            let mut platform = FaasPlatform::new(KeepAlivePolicy::Fixed(FAAS_KEEP_ALIVE), cfg.seed);
             for spec in &self.functions {
                 platform.deploy(spec.clone());
             }
@@ -917,7 +892,6 @@ impl Scenario {
         // flow router issues the Invoke on delivery.
         let mut arrival = cfg.faas.as_ref().zip(process.as_mut()).map(|(faas, process)| {
             let functions = functions.clone();
-            let payload = cfg.network.as_ref().map_or(0, |net| net.faas_payload_bytes);
             ArrivalActor::new(
                 process,
                 RngStream::new(cfg.seed, "arrivals"),
@@ -926,7 +900,8 @@ impl Scenario {
                 move |ctx, index| {
                     if peers.net.is_some() {
                         let tag = FlowTag { owner: FlowOwner::Faas, id: index as u64 };
-                        transfer(ctx, peers.net, index as u32 % machines, 0, payload, tag);
+                        let src = index as u32 % machines;
+                        transfer(ctx, peers.net, src, 0, FAAS_PAYLOAD_BYTES, tag);
                     } else {
                         send(ctx, peers.faas, invoke(&functions, index));
                     }
@@ -944,8 +919,8 @@ impl Scenario {
             // With a network attached, a killed task's checkpoint image is
             // fetched over the fabric before it re-enters the queue, so
             // recovery time tracks contention instead of a fixed backoff.
-            if let Some(net) = cfg.network.as_ref() {
-                let bytes = net.rms_checkpoint_mb * MIB;
+            if cfg.network.is_some() {
+                let bytes = RMS_CHECKPOINT_MB * MIB;
                 actor = actor.with_checkpoint_hook(move |ctx, task, attempt| {
                     let (src, dst) =
                         (task as u32 % machines, (task as u32 + 1 + attempt) % machines);
@@ -981,12 +956,11 @@ impl Scenario {
             }
             // Response payloads ride the fabric back to the callers; they
             // are fire-and-forget but still contend for bandwidth.
-            if let Some(net) = cfg.network.as_ref().filter(|net| net.faas_response_bytes > 0) {
-                let bytes = net.faas_response_bytes;
+            if cfg.network.is_some() {
                 let mut seq = 0u64;
                 actor = actor.with_response_hook(move |ctx, _latency_secs| {
                     let tag = FlowTag { owner: FlowOwner::FaasResp, id: seq };
-                    transfer(ctx, peers.net, 0, worker(seq, machines), bytes, tag);
+                    transfer(ctx, peers.net, 0, worker(seq, machines), FAAS_RESPONSE_BYTES, tag);
                     seq += 1;
                 });
             }
@@ -1084,13 +1058,10 @@ impl Scenario {
                 WorldActor::new(gaming.clone(), cfg.horizon, RngStream::new(cfg.seed, "gaming"));
             // With a network attached, world-state syncs ride the fabric and
             // lag whenever co-tenant traffic crowds their links.
-            let Some(net) = cfg.network.as_ref() else { return actor };
-            let sync = GamingSyncConfig {
-                interval: net.gaming_sync_interval,
-                base_bytes: net.gaming_sync_base_bytes,
-                per_player_bytes: net.gaming_sync_per_player_bytes,
-            };
-            actor.with_sync(sync, move |ctx, seq, bytes| {
+            if cfg.network.is_none() {
+                return actor;
+            }
+            actor.with_sync(move |ctx, seq, bytes| {
                 let tag = FlowTag { owner: FlowOwner::Game, id: seq };
                 transfer(ctx, peers.net, worker(seq, machines), 0, bytes, tag);
             })
@@ -1119,12 +1090,9 @@ impl Scenario {
         // aborted) flows back into tenant messages.
         let mut net_actor = cfg.network.as_ref().map(|net| {
             let functions = functions.clone();
-            let lag_budget = net.gaming_lag_budget.as_secs_f64();
             NetActor::new(net.topology(cfg.machines))
                 .with_flow_timeout(net.flow_timeout)
-                .with_completion(move |ctx, done| {
-                    route_flow(ctx, peers, done, &functions, lag_budget)
-                })
+                .with_completion(move |ctx, done| route_flow(ctx, peers, done, &functions))
         });
 
         let mut sim: Simulation<'_, EcosystemMsg> = Simulation::new(cfg.seed);
@@ -1281,6 +1249,8 @@ where
 }
 
 /// Starts a flow of (at least one) `bytes` from `src` to `dst` on the fabric.
+/// For the `#[inline]`, see [`route_flow`].
+#[inline]
 fn transfer(
     ctx: &mut Context<'_, EcosystemMsg>,
     net: Option<ActorId>,
@@ -1338,18 +1308,17 @@ fn fault_window<T>(
 /// Turns a finished flow back into its owner's message. Aborted flows
 /// (stranded on a cut endpoint past the flow timeout) retry or fail fast.
 ///
-/// `#[inline]` is for the engine, not for this function: it changes how
-/// rustc splits this crate into codegen units, and with it
-/// `Simulation::step` keeps `BinaryHeap::push` inlined (without it the
-/// push is an out-of-line call and `dag_backlog` runs a few percent
-/// slower).
+/// `#[inline]` here and on [`transfer`] is for the engine, not for these
+/// functions: it changes how rustc splits this crate into codegen units,
+/// and with both `Simulation::step` keeps `BinaryHeap::push` and `pop`
+/// inlined (without them they are out-of-line calls and `dag_backlog` runs
+/// a few percent slower).
 #[inline]
 fn route_flow(
     ctx: &mut Context<'_, EcosystemMsg>,
     peers: Peers,
     done: &FlowDone,
     functions: &[String],
-    lag_budget: f64,
 ) {
     let id = done.tag.id;
     match done.tag.owner {
@@ -1376,7 +1345,7 @@ fn route_flow(
         }
         // A lost world-state sync counts as (very) lagged.
         FlowOwner::Game => {
-            let lagged = done.aborted || done.secs > lag_budget;
+            let lagged = done.aborted || done.secs > GAMING_LAG_BUDGET_SECS;
             send(ctx, peers.gaming, GamingMsg::SyncDone(lagged));
         }
         FlowOwner::Test => debug_assert!(false, "test flows never reach a scenario"),
@@ -1843,11 +1812,6 @@ mod tests {
                     failure_domain: 0,
                     ..FailureConfig::default()
                 }),
-            ),
-            (
-                "gaming.zone_capacity",
-                ScenarioConfig::default()
-                    .with_gaming(GamingConfig { zone_capacity: 0, ..GamingConfig::default() }),
             ),
             (
                 "network.nodes_per_rack",

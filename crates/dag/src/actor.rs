@@ -8,7 +8,7 @@
 //! burns down, and release them on completion.
 //!
 //! Edge data movement is pluggable: standalone, a transfer takes
-//! `bytes / reference_bandwidth`; composed, the scenario installs an
+//! `bytes / REFERENCE_BANDWIDTH`; composed, the scenario installs an
 //! [`EdgeHook`] that turns each transfer into an `mcs-net` flow, and the
 //! flow's (contended, fault-exposed) completion delivers
 //! [`DagMsg::EdgeDone`] — so workflow makespans inherit network contention
@@ -32,6 +32,24 @@ use mcs_workload::task::TaskId;
 pub const DAG_COMPONENT: &str = "dag";
 
 const MIB: f64 = 1024.0 * 1024.0;
+
+/// Base per-task demand, core-seconds.
+const TASK_WORK: f64 = 120.0;
+/// Cores per task.
+const TASK_CORES: f64 = 2.0;
+/// Memory per task, GiB.
+const TASK_MEMORY_GB: f64 = 4.0;
+/// Locality domains the workload is laid out for; a composed scenario
+/// warns when the fabric has fewer racks than this (placement degrades to
+/// blind best-fit beyond the rack count).
+pub const LOCALITY_DOMAINS: u32 = 4;
+/// Reference bandwidth for ranks and standalone transfers, bytes/s
+/// (100 MiB/s).
+const REFERENCE_BANDWIDTH: f64 = 100.0 * MIB;
+/// Cores per machine of the workflow pool.
+const CORES_PER_MACHINE: f64 = 8.0;
+/// Memory per machine of the workflow pool, GiB.
+const MEMORY_PER_MACHINE_GB: f64 = 32.0;
 
 /// Which policy schedules each workflow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,55 +81,29 @@ impl DagPolicy {
     }
 }
 
-/// Workflow-workload configuration.
+/// Workflow-workload configuration. Jobs cycle through [`DagClass::ALL`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DagConfig {
     /// Number of workflows submitted over the run.
     pub jobs: usize,
-    /// Workflow classes, cycled job-by-job.
-    pub classes: Vec<DagClass>,
     /// Parallel width of each workflow (chain length for chains).
     pub width: usize,
-    /// Base per-task demand, core-seconds.
-    pub task_work: f64,
-    /// Cores per task.
-    pub task_cores: f64,
-    /// Memory per task, GiB.
-    pub task_memory_gb: f64,
     /// Base payload per precedence edge, MiB.
     pub edge_mb: f64,
     /// Seconds between successive workflow submissions.
     pub submit_interval_secs: f64,
     /// Scheduling mode.
     pub policy: DagPolicy,
-    /// Locality domains the workload is laid out for; the scenario warns
-    /// when the fabric has fewer racks than this (placement degrades to
-    /// blind best-fit beyond the rack count).
-    pub locality_domains: u32,
-    /// Reference bandwidth for ranks and standalone transfers, MiB/s.
-    pub reference_bandwidth_mbs: f64,
-    /// Cores per machine of the workflow pool.
-    pub cores_per_machine: f64,
-    /// Memory per machine of the workflow pool, GiB.
-    pub memory_per_machine_gb: f64,
 }
 
 impl Default for DagConfig {
     fn default() -> Self {
         DagConfig {
             jobs: 12,
-            classes: DagClass::ALL.to_vec(),
             width: 6,
-            task_work: 120.0,
-            task_cores: 2.0,
-            task_memory_gb: 4.0,
             edge_mb: 32.0,
             submit_interval_secs: 120.0,
             policy: DagPolicy::Portfolio,
-            locality_domains: 4,
-            reference_bandwidth_mbs: 100.0,
-            cores_per_machine: 8.0,
-            memory_per_machine_gb: 32.0,
         }
     }
 }
@@ -122,29 +114,8 @@ impl DagConfig {
         if self.jobs == 0 {
             return Err(McsError::invalid_config("dag.jobs", "must be at least 1"));
         }
-        if self.classes.is_empty() {
-            return Err(McsError::invalid_config("dag.classes", "must name at least one class"));
-        }
         if self.width == 0 {
             return Err(McsError::invalid_config("dag.width", "must be at least 1"));
-        }
-        if !self.task_work.is_finite() || self.task_work <= 0.0 {
-            return Err(McsError::invalid_config("dag.task_work", "must be positive and finite"));
-        }
-        if !self.task_cores.is_finite() || self.task_cores <= 0.0 {
-            return Err(McsError::invalid_config("dag.task_cores", "must be positive and finite"));
-        }
-        if self.task_cores > self.cores_per_machine {
-            return Err(McsError::invalid_config(
-                "dag.task_cores",
-                "exceeds cores_per_machine: no machine could ever host a task",
-            ));
-        }
-        if self.task_memory_gb > self.memory_per_machine_gb {
-            return Err(McsError::invalid_config(
-                "dag.task_memory_gb",
-                "exceeds memory_per_machine_gb: no machine could ever host a task",
-            ));
         }
         if !self.edge_mb.is_finite() || self.edge_mb < 0.0 {
             return Err(McsError::invalid_config("dag.edge_mb", "must be non-negative and finite"));
@@ -153,15 +124,6 @@ impl DagConfig {
             return Err(McsError::invalid_config(
                 "dag.submit_interval_secs",
                 "must be non-negative and finite",
-            ));
-        }
-        if self.locality_domains == 0 {
-            return Err(McsError::invalid_config("dag.locality_domains", "must be at least 1"));
-        }
-        if !self.reference_bandwidth_mbs.is_finite() || self.reference_bandwidth_mbs <= 0.0 {
-            return Err(McsError::invalid_config(
-                "dag.reference_bandwidth_mbs",
-                "must be positive and finite",
             ));
         }
         Ok(())
@@ -242,7 +204,6 @@ pub struct DagActor<'a, M = DagMsg> {
     cfg: DagConfig,
     cluster: Cluster,
     spec: DagClusterSpec,
-    ref_bw: f64,
     portfolio: DagPortfolio,
     jobs: Vec<JobState>,
     ready: Vec<ReadyTask>,
@@ -263,7 +224,7 @@ impl<'a, M: MessageEnvelope<DagMsg>> DagActor<'a, M> {
     /// the job set is a pure function of seed and configuration) over a
     /// pool of `machines` nodes — node ids align 1:1 with fabric nodes.
     pub fn new(machines: u32, cfg: DagConfig, rng: &mut RngStream) -> Self {
-        let nodes_per_rack = machines.div_ceil(cfg.locality_domains.max(1)).max(1);
+        let nodes_per_rack = machines.div_ceil(LOCALITY_DOMAINS).max(1);
         Self::with_rack_width(machines, cfg, rng, nodes_per_rack)
     }
 
@@ -277,25 +238,24 @@ impl<'a, M: MessageEnvelope<DagMsg>> DagActor<'a, M> {
     ) -> Self {
         let spec = DagClusterSpec {
             machines: machines.max(1),
-            cores_per_machine: cfg.cores_per_machine,
-            memory_per_machine_gb: cfg.memory_per_machine_gb,
+            cores_per_machine: CORES_PER_MACHINE,
+            memory_per_machine_gb: MEMORY_PER_MACHINE_GB,
         };
         let shape = DagShape {
             width: cfg.width,
-            work: cfg.task_work,
-            cores: cfg.task_cores,
-            memory_gb: cfg.task_memory_gb,
+            work: TASK_WORK,
+            cores: TASK_CORES,
+            memory_gb: TASK_MEMORY_GB,
             edge_bytes: (cfg.edge_mb * MIB) as u64,
         };
-        let ref_bw = cfg.reference_bandwidth_mbs * MIB;
         let jobs: Vec<JobState> = (0..cfg.jobs)
             .map(|j| {
-                let class = cfg.classes[j % cfg.classes.len()];
+                let class = DagClass::ALL[j % DagClass::ALL.len()];
                 let dag = generate(class, &shape, rng);
                 let n = dag.len();
                 let reqs =
                     dag.tasks().iter().map(|t| ResourceVector::new(t.cores, t.memory_gb)).collect();
-                let ranks = dag.upward_ranks(ref_bw);
+                let ranks = dag.upward_ranks(REFERENCE_BANDWIDTH);
                 let deps_left = (0..n).map(|t| dag.in_edges(t).len()).collect();
                 let pending_inputs = vec![0; n];
                 let xfer_started = vec![None; dag.edges().len()];
@@ -320,7 +280,6 @@ impl<'a, M: MessageEnvelope<DagMsg>> DagActor<'a, M> {
         DagActor {
             cluster: spec.build("dag-pool"),
             spec,
-            ref_bw,
             portfolio: DagPortfolio::standard(nodes_per_rack),
             jobs,
             ready: Vec::new(),
@@ -397,7 +356,7 @@ impl<'a, M: MessageEnvelope<DagMsg>> DagActor<'a, M> {
             DagPolicy::Locality => 2,
             DagPolicy::Portfolio => {
                 let job = &self.jobs[j];
-                self.portfolio.choose_index(job.class, &job.dag, &self.spec, self.ref_bw)
+                self.portfolio.choose_index(job.class, &job.dag, &self.spec, REFERENCE_BANDWIDTH)
             }
         }
     }
@@ -506,7 +465,7 @@ impl<'a, M: MessageEnvelope<DagMsg>> DagActor<'a, M> {
             self.start_compute(ctx, j, t, mid);
             return;
         }
-        let ideal = |bytes: u64| SimDuration::from_secs_f64(bytes as f64 / self.ref_bw);
+        let ideal = |bytes: u64| SimDuration::from_secs_f64(bytes as f64 / REFERENCE_BANDWIDTH);
         for x in transfers {
             match self.edge_hook.as_mut() {
                 Some(hook) => hook(ctx, x),
@@ -525,7 +484,7 @@ impl<'a, M: MessageEnvelope<DagMsg>> DagActor<'a, M> {
         };
         let edge = job.dag.edges()[e as usize];
         let secs = now.saturating_since(started).as_secs_f64();
-        let ideal = edge.bytes as f64 / self.ref_bw;
+        let ideal = edge.bytes as f64 / REFERENCE_BANDWIDTH;
         let stall = (secs - ideal).max(0.0);
         job.transfer_secs += secs;
         job.stall_secs += stall;
@@ -662,7 +621,6 @@ mod tests {
         DagConfig {
             jobs: 4,
             width: 4,
-            task_work: 60.0,
             submit_interval_secs: 30.0,
             policy,
             ..Default::default()
@@ -717,10 +675,15 @@ mod tests {
         let id = sim.add_actor(&mut actor);
         sim.schedule(SimTime::ZERO, id, DagMsg::Start);
         sim.run();
-        drop(sim);
-        for (makespan, cp) in actor.makespans.iter().zip(&cps) {
+        // Jobs finish out of submission order: pair each makespan with its
+        // own job's critical path.
+        let finished = sim.trace().select(DAG_COMPONENT, "job_finish");
+        assert_eq!(finished.len(), cps.len());
+        for e in finished {
+            let cp = cps[e.field_f64("job").expect("job id") as usize];
+            let makespan = e.field_f64("makespan_secs").expect("makespan");
             // SimTime is nanosecond-resolution; allow for truncation.
-            assert!(makespan + 1e-6 >= *cp, "makespan {makespan} < critical path {cp}");
+            assert!(makespan + 1e-6 >= cp, "makespan {makespan} < critical path {cp}");
         }
     }
 
@@ -729,15 +692,9 @@ mod tests {
         assert!(DagConfig::default().validate().is_ok());
         for bad in [
             DagConfig { jobs: 0, ..Default::default() },
-            DagConfig { classes: vec![], ..Default::default() },
             DagConfig { width: 0, ..Default::default() },
-            DagConfig { task_work: 0.0, ..Default::default() },
-            DagConfig { task_cores: 64.0, ..Default::default() },
-            DagConfig { task_memory_gb: 1e6, ..Default::default() },
             DagConfig { edge_mb: -1.0, ..Default::default() },
             DagConfig { submit_interval_secs: f64::NAN, ..Default::default() },
-            DagConfig { locality_domains: 0, ..Default::default() },
-            DagConfig { reference_bandwidth_mbs: 0.0, ..Default::default() },
         ] {
             assert!(bad.validate().is_err(), "{bad:?} must be rejected");
         }

@@ -99,8 +99,6 @@ pub struct FaultMix {
     pub gray: f64,
     /// Weight of partition windows.
     pub partition: f64,
-    /// Latency multiplier of slowdown windows.
-    pub slowdown_factor: f64,
     /// Per-unit-of-work failure probability of gray windows.
     pub gray_error_rate: f64,
 }
@@ -119,6 +117,9 @@ impl Default for FaultMix {
     }
 }
 
+/// Latency multiplier of slowdown windows.
+const SLOWDOWN_FACTOR: f64 = 4.0;
+
 impl FaultMix {
     /// Every fault is a crash (the legacy, crash-stop-only vocabulary).
     pub fn crash_only() -> Self {
@@ -127,7 +128,6 @@ impl FaultMix {
             slowdown: 0.0,
             gray: 0.0,
             partition: 0.0,
-            slowdown_factor: 4.0,
             gray_error_rate: 0.8,
         }
     }
@@ -146,7 +146,7 @@ impl FaultMix {
                     if x < self.crash {
                         FaultKind::Crash
                     } else if x < self.crash + self.slowdown {
-                        FaultKind::Slowdown { factor: self.slowdown_factor.max(1.0) }
+                        FaultKind::Slowdown { factor: SLOWDOWN_FACTOR }
                     } else if x < self.crash + self.slowdown + self.gray {
                         FaultKind::Gray { error_rate: self.gray_error_rate.clamp(0.0, 1.0) }
                     } else {

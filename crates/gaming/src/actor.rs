@@ -13,8 +13,7 @@
 //! as `overload_start`/`overload_end` pairs, so the zone-overload-minutes
 //! metric is computed from traces alone.
 
-use crate::world::{PlayerModel, ZoneProvisioning};
-use mcs_simcore::dist::Sample;
+use crate::world::{session_secs, PlayerModel, ZoneProvisioning};
 use mcs_simcore::engine::{Actor, Context, MessageEnvelope, Simulation};
 use mcs_simcore::rng::RngStream;
 use mcs_simcore::time::{SimDuration, SimTime};
@@ -24,17 +23,18 @@ use mcs_workload::arrival::{ArrivalProcess, Diurnal};
 /// Configuration of the gaming subsystem inside a scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GamingConfig {
-    /// Player population (arrival pattern + session distribution).
+    /// Player population (arrival pattern).
     pub players: PlayerModel,
     /// Zone deployment model.
     pub provisioning: ZoneProvisioning,
-    /// Players one zone instance can host.
-    pub zone_capacity: usize,
-    /// Occupancy fraction above which the world counts as overloaded.
-    pub overload_watermark: f64,
-    /// Effective-capacity multiplier while co-tenant network pressure is on.
-    pub pressure_capacity_factor: f64,
 }
+
+/// Players one zone instance can host.
+const ZONE_CAPACITY: usize = 100;
+/// Occupancy fraction above which the world counts as overloaded.
+const OVERLOAD_WATERMARK: f64 = 0.95;
+/// Effective-capacity multiplier while co-tenant network pressure is on.
+const PRESSURE_CAPACITY_FACTOR: f64 = 0.85;
 
 impl Default for GamingConfig {
     fn default() -> Self {
@@ -47,9 +47,6 @@ impl Default for GamingConfig {
                 low_watermark: 0.3,
                 boot_delay: SimDuration::from_secs(60),
             },
-            zone_capacity: 100,
-            overload_watermark: 0.95,
-            pressure_capacity_factor: 0.85,
         }
     }
 }
@@ -78,18 +75,14 @@ pub enum GamingMsg {
     SyncDone(bool),
 }
 
-/// Periodic world-state synchronization traffic (Fig. 4's inter-zone and
-/// client-update fan-out, aggregated): every `interval`, the world ships
-/// `base_bytes + per_player_bytes * online` over the network model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SyncConfig {
-    /// Time between sync bursts.
-    pub interval: SimDuration,
-    /// Fixed per-burst payload, bytes.
-    pub base_bytes: u64,
-    /// Additional payload per online player, bytes.
-    pub per_player_bytes: u64,
-}
+/// Cadence of world-state sync bursts (Fig. 4's inter-zone and
+/// client-update fan-out, aggregated). Each burst ships
+/// `SYNC_BASE_BYTES + SYNC_PER_PLAYER_BYTES * online` over the network model.
+const SYNC_INTERVAL: SimDuration = SimDuration::from_secs(5);
+/// Fixed payload per sync burst, bytes.
+const SYNC_BASE_BYTES: u64 = 256 * 1024;
+/// Additional payload per online player, bytes.
+const SYNC_PER_PLAYER_BYTES: u64 = 4 * 1024;
 
 /// Hook that carries one sync burst onto the network model:
 /// `(ctx, sequence_number, bytes)`. The installer must deliver
@@ -98,8 +91,7 @@ pub type SyncHook<'a, M> = Box<dyn FnMut(&mut Context<'_, M>, u64, u64) + 'a>;
 
 /// Runs the virtual world as one engine actor.
 pub struct WorldActor<'a, M = GamingMsg> {
-    config: GamingConfig,
-    sync: Option<(SyncConfig, SyncHook<'a, M>)>,
+    sync: Option<SyncHook<'a, M>>,
     sync_seq: u64,
     laggy_syncs: u64,
     arrivals: Diurnal,
@@ -146,7 +138,6 @@ impl<'a, M: MessageEnvelope<GamingMsg>> WorldActor<'a, M> {
             } => (min_zones, min_zones, max_zones, high_watermark, low_watermark, boot_delay),
         };
         WorldActor {
-            config,
             sync: None,
             sync_seq: 0,
             laggy_syncs: 0,
@@ -174,13 +165,8 @@ impl<'a, M: MessageEnvelope<GamingMsg>> WorldActor<'a, M> {
     /// Ships periodic state-sync traffic through the flow-level network
     /// model. The hook owner delivers [`GamingMsg::SyncDone`] per burst.
     #[must_use]
-    pub fn with_sync(
-        mut self,
-        sync: SyncConfig,
-        hook: impl FnMut(&mut Context<'_, M>, u64, u64) + 'a,
-    ) -> Self {
-        assert!(!sync.interval.is_zero(), "sync interval must be positive");
-        self.sync = Some((sync, Box::new(hook)));
+    pub fn with_sync(mut self, hook: impl FnMut(&mut Context<'_, M>, u64, u64) + 'a) -> Self {
+        self.sync = Some(Box::new(hook));
         self
     }
 
@@ -211,9 +197,9 @@ impl<'a, M: MessageEnvelope<GamingMsg>> WorldActor<'a, M> {
 
     /// Player slots available right now, shrunk under co-tenant pressure.
     fn capacity(&self) -> usize {
-        let raw = self.available_zones() * self.config.zone_capacity;
+        let raw = self.available_zones() * ZONE_CAPACITY;
         if self.pressure > 0 {
-            (raw as f64 * self.config.pressure_capacity_factor.clamp(0.0, 1.0)).floor() as usize
+            (raw as f64 * PRESSURE_CAPACITY_FACTOR).floor() as usize
         } else {
             raw
         }
@@ -223,8 +209,8 @@ impl<'a, M: MessageEnvelope<GamingMsg>> WorldActor<'a, M> {
     /// transitions so overload minutes fall out of the trace.
     fn refresh_overload(&mut self, ctx: &mut Context<'_, M>) {
         let capacity = self.capacity();
-        let overloaded = self.online > 0
-            && self.online as f64 >= capacity as f64 * self.config.overload_watermark;
+        let overloaded =
+            self.online > 0 && self.online as f64 >= capacity as f64 * OVERLOAD_WATERMARK;
         match (self.overloaded_since, overloaded) {
             (None, true) => {
                 self.overloaded_since = Some(ctx.now());
@@ -262,12 +248,7 @@ impl<'a, M: MessageEnvelope<GamingMsg>> WorldActor<'a, M> {
             self.online += 1;
             self.admitted += 1;
             ctx.emit_fields("gaming", "join", &[("online", Field::U64(self.online))]);
-            let session = self
-                .config
-                .players
-                .session
-                .sample(&mut self.rng)
-                .clamp(30.0, 12.0 * 3600.0);
+            let session = session_secs(&mut self.rng);
             ctx.send_self(SimDuration::from_secs_f64(session), M::wrap(GamingMsg::Leave));
         } else {
             self.rejected += 1;
@@ -277,8 +258,7 @@ impl<'a, M: MessageEnvelope<GamingMsg>> WorldActor<'a, M> {
         // Elastic control loop, evaluated at every join (mirrors the legacy
         // fluid implementation). Failed zones count against occupancy, so
         // failures push the controller toward compensating capacity.
-        let occupancy =
-            self.online as f64 / (self.available_zones() * self.config.zone_capacity).max(1) as f64;
+        let occupancy = self.online as f64 / (self.available_zones() * ZONE_CAPACITY).max(1) as f64;
         if occupancy > self.high && self.zones + self.booting < self.max_zones {
             self.booting += 1;
             ctx.send_self(self.boot, M::wrap(GamingMsg::ZoneReady));
@@ -379,8 +359,8 @@ impl<'a, M: MessageEnvelope<GamingMsg>> WorldActor<'a, M> {
     }
 
     fn arm_sync(&mut self, ctx: &mut Context<'_, M>) {
-        if let Some((cfg, _)) = &self.sync {
-            let t = ctx.now() + cfg.interval;
+        if self.sync.is_some() {
+            let t = ctx.now() + SYNC_INTERVAL;
             if t < self.horizon {
                 ctx.send_at(ctx.self_id(), t, M::wrap(GamingMsg::SyncTick));
             }
@@ -388,8 +368,8 @@ impl<'a, M: MessageEnvelope<GamingMsg>> WorldActor<'a, M> {
     }
 
     fn sync_tick(&mut self, ctx: &mut Context<'_, M>) {
-        if let Some((cfg, hook)) = &mut self.sync {
-            let bytes = cfg.base_bytes + cfg.per_player_bytes * self.online;
+        if let Some(hook) = &mut self.sync {
+            let bytes = SYNC_BASE_BYTES + SYNC_PER_PLAYER_BYTES * self.online;
             let seq = self.sync_seq;
             self.sync_seq += 1;
             hook(ctx, seq, bytes);
@@ -516,7 +496,6 @@ mod tests {
     fn zone_failures_disconnect_overflow_players() {
         let config = GamingConfig {
             provisioning: ZoneProvisioning::Static { zones: 3 },
-            zone_capacity: 50,
             ..flashy()
         };
         let horizon = SimTime::from_secs(4 * HOUR);
@@ -543,8 +522,6 @@ mod tests {
     fn pressure_shrinks_capacity() {
         let config = GamingConfig {
             provisioning: ZoneProvisioning::Static { zones: 2 },
-            zone_capacity: 100,
-            pressure_capacity_factor: 0.5,
             ..flashy()
         };
         let horizon = SimTime::from_secs(4 * HOUR);
@@ -556,7 +533,7 @@ mod tests {
         sim.schedule(SimTime::from_secs(2 * HOUR), id, GamingMsg::Pressure(true));
         sim.run();
         drop(sim);
-        // With capacity halved during the flash window, the door closes.
+        // With capacity shrunk during the flash window, the door closes.
         assert!(actor.rejected() > 0);
     }
 }

@@ -34,7 +34,7 @@ pub mod world;
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::actor::{
-        run_gaming_standalone, GamingConfig, GamingMsg, SyncConfig, WorldActor,
+        run_gaming_standalone, GamingConfig, GamingMsg, WorldActor,
     };
     pub use crate::metagame::{
         stream_capacity_plan, PlayedMatch, Tournament, TournamentOutcome,

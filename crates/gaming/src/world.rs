@@ -49,8 +49,6 @@ pub struct PlayerModel {
     pub period: SimDuration,
     /// Optional flash crowd: (start, duration, multiplier).
     pub flash: Option<(SimTime, SimDuration, f64)>,
-    /// Session-duration distribution, seconds.
-    pub session: Dist,
 }
 
 impl Default for PlayerModel {
@@ -60,9 +58,16 @@ impl Default for PlayerModel {
             amplitude: 0.6,
             period: SimDuration::from_hours(24),
             flash: None,
-            session: Dist::LogNormal { mu: 7.2, sigma: 0.8 }, // median ~22 min
         }
     }
+}
+
+/// Session-duration distribution, seconds (median ~22 min).
+const SESSION: Dist = Dist::LogNormal { mu: 7.2, sigma: 0.8 };
+
+/// Draws one player's session length, seconds, clamped to [30 s, 12 h].
+pub(crate) fn session_secs(rng: &mut RngStream) -> f64 {
+    SESSION.sample(rng).clamp(30.0, 12.0 * 3600.0)
 }
 
 /// What one virtual-world run measured.
@@ -147,7 +152,7 @@ pub fn simulate_world(
             online += 1;
             admitted += 1;
             concurrent.set(now, online as f64);
-            let session = model.session.sample(&mut rng).clamp(30.0, 12.0 * 3600.0);
+            let session = session_secs(&mut rng);
             departures.push(Reverse((now + SimDuration::from_secs_f64(session), seq)));
             seq += 1;
         } else {
@@ -206,7 +211,6 @@ mod tests {
             amplitude: 0.5,
             period: SimDuration::from_hours(24),
             flash: Some((SimTime::from_secs(6 * 3600), SimDuration::from_hours(2), 3.0)),
-            ..Default::default()
         }
     }
 

@@ -36,19 +36,6 @@ pub struct GraphConfig {
     pub vertices: u32,
     /// Edges of the input graph.
     pub edges: u64,
-    /// PageRank power iterations.
-    pub pagerank_iterations: usize,
-    /// CDLP propagation rounds.
-    pub cdlp_iterations: usize,
-    /// Fixed barrier/coordination cost per superstep, seconds.
-    pub barrier_secs: f64,
-    /// Compute seconds per thousand active vertices.
-    pub secs_per_k_active: f64,
-    /// Communication seconds per thousand BSP messages.
-    pub secs_per_k_messages: f64,
-    /// Superstep slowdown multiplier while co-tenant network pressure
-    /// (e.g. a big-data shuffle window) is on.
-    pub pressure_slowdown: f64,
 }
 
 impl Default for GraphConfig {
@@ -58,15 +45,23 @@ impl Default for GraphConfig {
             submit_interval_secs: 900.0,
             vertices: 2_000,
             edges: 8_000,
-            pagerank_iterations: 10,
-            cdlp_iterations: 5,
-            barrier_secs: 2.0,
-            secs_per_k_active: 6.0,
-            secs_per_k_messages: 3.0,
-            pressure_slowdown: 1.8,
         }
     }
 }
+
+/// PageRank power iterations.
+const PAGERANK_ITERATIONS: usize = 10;
+/// CDLP propagation rounds.
+const CDLP_ITERATIONS: usize = 5;
+/// Fixed barrier/coordination cost per superstep, seconds.
+const BARRIER_SECS: f64 = 2.0;
+/// Compute seconds per thousand active vertices.
+const SECS_PER_K_ACTIVE: f64 = 6.0;
+/// Communication seconds per thousand BSP messages.
+const SECS_PER_K_MESSAGES: f64 = 3.0;
+/// Superstep slowdown multiplier while co-tenant network pressure (e.g. a
+/// big-data shuffle window) is on.
+const PRESSURE_SLOWDOWN: f64 = 1.8;
 
 /// The BSP algorithms the actor rotates queries over (the subset of the
 /// Graphalytics six with a vertex-centric program).
@@ -149,7 +144,7 @@ impl BspActor {
 
     /// The combined slowdown multiplier for a superstep starting now.
     fn slowdown(&self) -> f64 {
-        let pressure = if self.pressure > 0 { self.config.pressure_slowdown.max(1.0) } else { 1.0 };
+        let pressure = if self.pressure > 0 { PRESSURE_SLOWDOWN } else { 1.0 };
         self.degradation() * pressure
     }
 
@@ -175,13 +170,13 @@ impl BspActor {
             Algorithm::PageRank => steps(
                 engine,
                 &self.graph,
-                PageRankProgram { iterations: self.config.pagerank_iterations },
+                PageRankProgram { iterations: PAGERANK_ITERATIONS },
             ),
             Algorithm::Wcc => steps(engine, &self.graph, WccProgram),
             Algorithm::Cdlp => steps(
                 engine,
                 &self.graph,
-                CdlpProgram { iterations: self.config.cdlp_iterations },
+                CdlpProgram { iterations: CDLP_ITERATIONS },
             ),
             // BFS is also the fallback for the non-vertex-centric members
             // of the Graphalytics six (LCC, SSSP) if a caller requests them.
@@ -232,13 +227,12 @@ impl BspActor {
         query: usize,
     ) {
         let slowdown = self.slowdown();
-        let cfg = self.config.clone();
         let Some(state) = self.queries.get_mut(query).and_then(Option::as_mut) else { return };
         let Some(stats) = state.steps.get(state.next).copied() else { return };
         state.step_started = ctx.now();
-        let healthy = cfg.barrier_secs
-            + cfg.secs_per_k_active * stats.active_vertices as f64 / 1_000.0
-            + cfg.secs_per_k_messages * stats.messages_sent as f64 / 1_000.0;
+        let healthy = BARRIER_SECS
+            + SECS_PER_K_ACTIVE * stats.active_vertices as f64 / 1_000.0
+            + SECS_PER_K_MESSAGES * stats.messages_sent as f64 / 1_000.0;
         let secs = healthy * slowdown;
         let straggler = slowdown > 1.0;
         if straggler {

@@ -10,8 +10,16 @@
 //! decides placement, and *backfill* gates EASY backfilling. The legacy
 //! [`SchedulerConfig`] implements the trait by delegating to its knobs, so
 //! every existing configuration is already a policy object; the DAG layer
-//! (`mcs-dag`) and portfolio selection work purely in terms of trait
-//! objects.
+//! (`mcs-dag`) and its portfolio work purely in terms of trait objects.
+//!
+//! The two enums stay as configuration on purpose. Their values are the
+//! sweep axes of the table3/table4/table5 experiments, `tests/determinism.rs`
+//! and the banking example (`QueuePolicy::ALL` and `AllocationPolicy::ALL`
+//! enumerate them). The batch portfolio keeps its candidates as a
+//! `Vec<SchedulerConfig>` and re-sorts the queue on a policy tick only when
+//! the chosen config differs from the current one, so it needs
+//! `SchedulerConfig` to be a `Copy`, comparable value. New policies
+//! implement [`SchedulingPolicy`] directly instead of growing the enums.
 
 use crate::allocation::AllocationPolicy;
 use crate::scheduler::{QueuePolicy, SchedulerConfig};

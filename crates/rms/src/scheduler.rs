@@ -860,7 +860,12 @@ impl<'a, M: MessageEnvelope<RmsMsg>> SchedulerActor<'a, M> {
             running: self.running.len(),
             current: *self.config,
         };
-        let new_config = selector.select(&view);
+        // A tick adopts the policy axes only: checkpointing belongs to the
+        // restart configuration, and every portfolio candidate carries 0.0.
+        let new_config = SchedulerConfig {
+            checkpoint_factor: self.config.checkpoint_factor,
+            ..selector.select(&view)
+        };
         if new_config != *self.config {
             *self.config = new_config;
             self.queue_dirty = true;
@@ -1400,6 +1405,43 @@ mod tests {
         assert_eq!(out.abandoned, 1);
         assert_eq!(out.unfinished, 1, "the abandoned task is permanently failed");
         assert!(out.completions.is_empty());
+    }
+
+    #[test]
+    fn portfolio_ticks_keep_the_restart_checkpoint_factor() {
+        use crate::portfolio::{default_portfolio, Objective, PortfolioSelector};
+
+        // Twenty 1000 s tasks on two 4-core machines keep the queue full, so
+        // every 60 s tick adopts a portfolio candidate. The kill at 500 s
+        // must still keep 90% of the 2000 core-s done by then.
+        let outage = Outage {
+            machine: 0,
+            fail_at: SimTime::from_secs(500),
+            repair_at: SimTime::from_secs(600),
+        };
+        let jobs = (0..20).map(|j| bag(j, 0, &[(4000.0, 4.0)])).collect();
+        let mut selector = PortfolioSelector::new(default_portfolio(), Objective::Makespan, 1);
+        let mut cl = cluster(2, 4.0);
+        let mut cfg = SchedulerConfig::default();
+        let mut rng = RngStream::new(1, "scheduler");
+        let horizon = SimTime::from_secs(20_000);
+        let mut actor = SchedulerActor::new(&mut cl, &mut cfg, &mut rng, jobs, horizon)
+            .with_outages(vec![outage])
+            .with_restart(RestartConfig::default())
+            .with_selector(&mut selector, SimDuration::from_secs(60));
+        let mut sim: Simulation<'_, RmsMsg> = Simulation::new(1);
+        sim.set_horizon(horizon);
+        let id = sim.add_actor(&mut actor);
+        sim.schedule(SimTime::ZERO, id, RmsMsg::Start);
+        sim.run();
+        let restores = sim.trace().select("rms", "checkpoint_restore");
+        assert_eq!(restores.len(), 1);
+        assert_eq!(restores[0].field_f64("demand_left"), Some(2200.0));
+        drop(sim);
+        assert_eq!(actor.outcome().unfinished, 0);
+        drop(actor);
+        assert!(selector.decisions().len() > 100);
+        assert_eq!(cfg.checkpoint_factor, RestartConfig::default().checkpoint_factor);
     }
 
     #[test]

@@ -83,7 +83,7 @@ fn main() {
         SimDuration::from_mins(30),
     );
     println!(
-        "portfolio          : mean response {:>8.1}s, utilization {:.1}%, {} policy switches",
+        "portfolio          : mean response {:>8.1}s, utilization {:.1}%, {} portfolio decisions",
         out.mean_response_secs(),
         out.mean_utilization * 100.0,
         selector.decisions().len(),

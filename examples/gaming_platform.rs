@@ -14,7 +14,6 @@ fn main() {
         amplitude: 0.6,
         period: SimDuration::from_hours(24),
         flash: Some((SimTime::from_secs(6 * 3600), SimDuration::from_hours(2), 3.0)),
-        ..Default::default()
     };
     let day = SimTime::from_secs(86_400);
     let static_small = simulate_world(&model, ZoneProvisioning::Static { zones: 12 }, 100, day, 1);

@@ -4,7 +4,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release --offline --workspace
+cargo build --release --offline --workspace --bins --examples
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
@@ -14,6 +14,13 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
+
+# Example smoke run: `cargo test` only builds the examples, so run the fast
+# ones (about 2 s each in release) and fail on a non-zero exit.
+# graph_analytics (about 14 s) and banking_ecosystem (slow) stay out.
+for example in quickstart serverless_app escience_federation datacenter_operations gaming_platform; do
+    "./target/release/examples/$example" > /dev/null
+done
 
 # Determinism gate: the composed-ecosystem, resilience-ablation, and
 # network-contention experiments must render byte-identical reports across
@@ -63,4 +70,4 @@ if [ "$allow_count" -gt "$allow_budget" ]; then
     exit 1
 fi
 
-echo "verify: OK (offline build + tests + clippy + benchmark tests + par-aware determinism diffs + report snapshots + invariant gate + benchmark smoke + self-compare + allow-lint budget)"
+echo "verify: OK (offline build + tests + clippy + benchmark tests + example smoke runs + par-aware determinism diffs + report snapshots + invariant gate + benchmark smoke + self-compare + allow-lint budget)"

@@ -183,7 +183,6 @@ fn config(mask: usize, mode: Mode) -> ScenarioConfig {
             submit_interval_secs: 600.0,
             vertices: 300,
             edges: 1_200,
-            ..GraphConfig::default()
         });
     }
     if on(5) {
