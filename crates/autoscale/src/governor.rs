@@ -12,9 +12,8 @@
 
 use crate::autoscalers::{AutoscaleObservation, Autoscaler};
 use crate::service::ServiceConfig;
-use mcs_simcore::codec::Json;
 use mcs_simcore::engine::{Actor, Context, MessageEnvelope};
-use mcs_simcore::trace::payload;
+use mcs_simcore::trace::Field;
 
 /// The governor's message vocabulary.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -122,26 +121,26 @@ impl<'a, M> GovernorActor<'a, M> {
         self.decisions += 1;
         let raw = self.autoscaler.decide(&obs);
         let target = raw.clamp(self.config.min_instances, self.config.max_instances);
-        ctx.emit(
+        ctx.emit_fields(
             "autoscale",
             "decision",
-            payload(vec![
-                ("demand", Json::Float(demand)),
-                ("supply", Json::UInt(supply as u64)),
-                ("target", Json::UInt(target as u64)),
-            ]),
+            &[
+                ("demand", Field::F64(demand)),
+                ("supply", Field::U64(supply as u64)),
+                ("target", Field::U64(target as u64)),
+            ],
         );
         if let Some(on_shed) = self.on_shed.as_mut() {
             let over_capacity = raw > self.config.max_instances;
             if over_capacity != self.shedding {
                 self.shedding = over_capacity;
-                ctx.emit(
+                ctx.emit_fields(
                     "autoscale",
                     if over_capacity { "shed_on" } else { "shed_off" },
-                    payload(vec![
-                        ("raw_target", Json::UInt(raw as u64)),
-                        ("max_instances", Json::UInt(self.config.max_instances as u64)),
-                    ]),
+                    &[
+                        ("raw_target", Field::U64(raw as u64)),
+                        ("max_instances", Field::U64(self.config.max_instances as u64)),
+                    ],
                 );
                 on_shed(ctx, over_capacity);
             }
@@ -161,11 +160,7 @@ impl<'a, M> GovernorActor<'a, M> {
 
     fn provisioned(&mut self, ctx: &mut Context<'_, M>, n: usize) {
         self.in_flight = self.in_flight.saturating_sub(n);
-        ctx.emit(
-            "autoscale",
-            "provisioned",
-            payload(vec![("instances", Json::UInt(n as u64))]),
-        );
+        ctx.emit_fields("autoscale", "provisioned", &[("instances", Field::U64(n as u64))]);
         (self.apply)(ctx, n as i64);
     }
 }

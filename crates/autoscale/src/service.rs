@@ -15,10 +15,9 @@
 
 use crate::autoscalers::{AutoscaleObservation, Autoscaler};
 use crate::elasticity::{unserved_fraction, ElasticityMetrics};
-use mcs_simcore::codec::Json;
 use mcs_simcore::engine::{Actor, Context, MessageEnvelope, Simulation};
 use mcs_simcore::time::{SimDuration, SimTime};
-use mcs_simcore::trace::payload;
+use mcs_simcore::trace::Field;
 
 /// Parameters of the elastic service.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -191,14 +190,14 @@ impl<'a> ServiceActor<'a> {
             self.active = target.max(self.config.min_instances);
         }
 
-        ctx.emit(
+        ctx.emit_fields(
             "autoscale",
             "interval",
-            payload(vec![
-                ("demand", Json::Float(d)),
-                ("supply", Json::Float(self.supply[i])),
-                ("target", Json::UInt(target as u64)),
-            ]),
+            &[
+                ("demand", Field::F64(d)),
+                ("supply", Field::F64(self.supply[i])),
+                ("target", Field::U64(target as u64)),
+            ],
         );
 
         self.interval += 1;

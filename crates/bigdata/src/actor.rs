@@ -1,8 +1,8 @@
 //! The big-data stack as a discrete-event actor.
 //!
 //! [`DataflowActor`] drives MapReduce-style jobs over the replicated
-//! [`BlockStore`](crate::storage::BlockStore): each job runs `stages` rounds
-//! of map → shuffle → reduce, with the map phase scheduled through the real
+//! [`BlockStore`]: each job runs `stages` rounds of map → shuffle → reduce,
+//! with the map phase scheduled through the real
 //! locality-aware list scheduler of [`crate::locality`] and the shuffle
 //! charged against a fixed network bandwidth. Node failures (fanned
 //! in from a scenario-level injector) degrade compute capacity and trigger
@@ -17,11 +17,10 @@
 
 use crate::locality::{schedule_map_phase, MapPhaseConfig};
 use crate::storage::{BlockStore, NodeId, StoredFile};
-use mcs_simcore::codec::Json;
 use mcs_simcore::engine::{Actor, Context, MessageEnvelope, Simulation};
 use mcs_simcore::rng::RngStream;
 use mcs_simcore::time::{SimDuration, SimTime};
-use mcs_simcore::trace::{payload, TraceBus};
+use mcs_simcore::trace::{Field, TraceBus};
 
 /// Bytes per mebibyte.
 const MIB: u64 = 1024 * 1024;
@@ -266,14 +265,14 @@ impl<'a, M: MessageEnvelope<BigdataMsg>> DataflowActor<'a, M> {
             .store
             .put(&name, self.config.input_mb * MIB, BLOCK_MB * MIB)
             .clone();
-        ctx.emit(
+        ctx.emit_fields(
             "bigdata",
             "job_submit",
-            payload(vec![
-                ("job", Json::UInt(job as u64)),
-                ("input_mb", Json::UInt(self.config.input_mb)),
-                ("blocks", Json::UInt(file.blocks.len() as u64)),
-            ]),
+            &[
+                ("job", Field::U64(job as u64)),
+                ("input_mb", Field::U64(self.config.input_mb)),
+                ("blocks", Field::U64(file.blocks.len() as u64)),
+            ],
         );
         if self.jobs.len() <= job {
             self.jobs.resize_with(job + 1, || None);
@@ -299,19 +298,19 @@ impl<'a, M: MessageEnvelope<BigdataMsg>> DataflowActor<'a, M> {
         state.healthy_map_secs = outcome.makespan_secs;
         let slowed = outcome.makespan_secs * degradation;
         let (local, rack, remote) = outcome.locality_counts;
-        ctx.emit(
+        ctx.emit_fields(
             "bigdata",
             "map_start",
-            payload(vec![
-                ("job", Json::UInt(job as u64)),
-                ("stage", Json::UInt(state.stage as u64)),
-                ("makespan_secs", Json::Float(slowed)),
-                ("node_local", Json::UInt(local as u64)),
-                ("rack_local", Json::UInt(rack as u64)),
-                ("remote", Json::UInt(remote as u64)),
-                ("network_bytes", Json::UInt(outcome.network_bytes)),
-                ("degradation", Json::Float(degradation)),
-            ]),
+            &[
+                ("job", Field::U64(job as u64)),
+                ("stage", Field::U64(state.stage as u64)),
+                ("makespan_secs", Field::F64(slowed)),
+                ("node_local", Field::U64(local as u64)),
+                ("rack_local", Field::U64(rack as u64)),
+                ("remote", Field::U64(remote as u64)),
+                ("network_bytes", Field::U64(outcome.network_bytes)),
+                ("degradation", Field::F64(degradation)),
+            ],
         );
         ctx.send_self(SimDuration::from_secs_f64(slowed), M::wrap(BigdataMsg::MapDone(job)));
         // In flow-level network mode the locality misses are real transfers:
@@ -349,15 +348,15 @@ impl<'a, M: MessageEnvelope<BigdataMsg>> DataflowActor<'a, M> {
         let stage = state.stage;
         let shuffle_bytes = (self.config.input_mb as f64 * MIB as f64 * SHUFFLE_RATIO) as u64;
         let secs = shuffle_bytes as f64 / (SHUFFLE_BANDWIDTH_MBS * MIB as f64);
-        ctx.emit(
+        ctx.emit_fields(
             "bigdata",
             "shuffle_start",
-            payload(vec![
-                ("job", Json::UInt(job as u64)),
-                ("stage", Json::UInt(stage as u64)),
-                ("bytes", Json::UInt(shuffle_bytes)),
-                ("secs", Json::Float(secs)),
-            ]),
+            &[
+                ("job", Field::U64(job as u64)),
+                ("stage", Field::U64(stage as u64)),
+                ("bytes", Field::U64(shuffle_bytes)),
+                ("secs", Field::F64(secs)),
+            ],
         );
         if let Some(hook) = self.on_shuffle.as_mut() {
             hook(ctx, job, true);
@@ -388,13 +387,10 @@ impl<'a, M: MessageEnvelope<BigdataMsg>> DataflowActor<'a, M> {
     fn shuffle_done(&mut self, ctx: &mut Context<'_, M>, job: usize) {
         let degradation = self.degradation();
         let Some(state) = self.jobs.get(job).and_then(Option::as_ref) else { return };
-        ctx.emit(
+        ctx.emit_fields(
             "bigdata",
             "shuffle_end",
-            payload(vec![
-                ("job", Json::UInt(job as u64)),
-                ("stage", Json::UInt(state.stage as u64)),
-            ]),
+            &[("job", Field::U64(job as u64)), ("stage", Field::U64(state.stage as u64))],
         );
         if let Some(hook) = self.on_shuffle.as_mut() {
             hook(ctx, job, false);
@@ -407,14 +403,14 @@ impl<'a, M: MessageEnvelope<BigdataMsg>> DataflowActor<'a, M> {
     fn reduce_done(&mut self, ctx: &mut Context<'_, M>, job: usize) {
         let now = ctx.now();
         let Some(state) = self.jobs.get_mut(job).and_then(Option::as_mut) else { return };
-        ctx.emit(
+        ctx.emit_fields(
             "bigdata",
             "stage_finish",
-            payload(vec![
-                ("job", Json::UInt(job as u64)),
-                ("stage", Json::UInt(state.stage as u64)),
-                ("secs", Json::Float((now - state.stage_started).as_secs_f64())),
-            ]),
+            &[
+                ("job", Field::U64(job as u64)),
+                ("stage", Field::U64(state.stage as u64)),
+                ("secs", Field::F64((now - state.stage_started).as_secs_f64())),
+            ],
         );
         state.stage += 1;
         if state.stage < self.config.stages_per_job {
@@ -424,14 +420,14 @@ impl<'a, M: MessageEnvelope<BigdataMsg>> DataflowActor<'a, M> {
             let stages = state.stage;
             self.jobs[job] = None;
             self.completed += 1;
-            ctx.emit(
+            ctx.emit_fields(
                 "bigdata",
                 "job_finish",
-                payload(vec![
-                    ("job", Json::UInt(job as u64)),
-                    ("makespan_secs", Json::Float(makespan)),
-                    ("stages", Json::UInt(stages as u64)),
-                ]),
+                &[
+                    ("job", Field::U64(job as u64)),
+                    ("makespan_secs", Field::F64(makespan)),
+                    ("stages", Field::U64(stages as u64)),
+                ],
             );
         }
     }
@@ -442,13 +438,10 @@ impl<'a, M: MessageEnvelope<BigdataMsg>> DataflowActor<'a, M> {
         }
         self.dead_nodes += 1;
         let under = self.store.fail_node(NodeId(node));
-        ctx.emit(
+        ctx.emit_fields(
             "bigdata",
             "node_fail",
-            payload(vec![
-                ("node", Json::UInt(node as u64)),
-                ("under_replicated", Json::UInt(under as u64)),
-            ]),
+            &[("node", Field::U64(node as u64)), ("under_replicated", Field::U64(under as u64))],
         );
         if under > 0 {
             ctx.send_self(
@@ -466,16 +459,12 @@ impl<'a, M: MessageEnvelope<BigdataMsg>> DataflowActor<'a, M> {
         // (replicas were already rebuilt elsewhere), so the store keeps it
         // out of placement decisions.
         self.dead_nodes -= 1;
-        ctx.emit("bigdata", "node_repair", payload(vec![("node", Json::UInt(node as u64))]));
+        ctx.emit_fields("bigdata", "node_repair", &[("node", Field::U64(node as u64))]);
     }
 
     fn recover(&mut self, ctx: &mut Context<'_, M>) {
         let created = self.store.re_replicate();
-        ctx.emit(
-            "bigdata",
-            "re_replicate",
-            payload(vec![("created", Json::UInt(created as u64))]),
-        );
+        ctx.emit_fields("bigdata", "re_replicate", &[("created", Field::U64(created as u64))]);
     }
 }
 

@@ -629,9 +629,8 @@ impl Invariant for FaultClosure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcs_simcore::codec::Json;
     use mcs_simcore::time::SimTime;
-    use mcs_simcore::trace::payload;
+    use mcs_simcore::trace::Field;
 
     fn cx(horizon_secs: f64) -> InvariantCx {
         InvariantCx { horizon_secs, ..InvariantCx::default() }
@@ -641,12 +640,12 @@ mod tests {
         SimTime::ZERO + mcs_simcore::time::SimDuration::from_secs_f64(secs)
     }
 
-    fn flow_fields(owner: &str, id: u64, src: u64, dst: u64) -> Vec<(&'static str, Json)> {
-        vec![
-            ("owner", Json::Str(owner.to_owned())),
-            ("id", Json::UInt(id)),
-            ("src", Json::UInt(src)),
-            ("dst", Json::UInt(dst)),
+    fn flow_fields(owner: &str, id: u64, src: u64, dst: u64) -> [(&'static str, Field<'_>); 4] {
+        [
+            ("owner", Field::Str(owner)),
+            ("id", Field::U64(id)),
+            ("src", Field::U64(src)),
+            ("dst", Field::U64(dst)),
         ]
     }
 
@@ -659,13 +658,8 @@ mod tests {
     #[test]
     fn stranded_flow_without_abort_fires_flow_conservation() {
         let mut trace = TraceBus::new();
-        trace.record(at(1.0), "net", "flow_start", payload(flow_fields("rms", 7, 3, 0)));
-        trace.record(
-            at(5.0),
-            "net",
-            "link_cut",
-            payload(vec![("node", Json::UInt(3))]),
-        );
+        trace.record_fields(at(1.0), "net", "flow_start", &flow_fields("rms", 7, 3, 0));
+        trace.record_fields(at(5.0), "net", "link_cut", &[("node", Field::U64(3))]);
         // The cut never lifts; the flow never ends or aborts.
         let ctx = cx(3600.0);
         let hits = FlowConservation.check(&trace, &ctx);
@@ -680,15 +674,10 @@ mod tests {
     #[test]
     fn aborted_stranded_flow_is_clean() {
         let mut trace = TraceBus::new();
-        trace.record(at(1.0), "net", "flow_start", payload(flow_fields("rms", 7, 3, 0)));
-        trace.record(at(5.0), "net", "link_cut", payload(vec![("node", Json::UInt(3))]));
-        trace.record(at(65.0), "net", "flow_aborted", payload(flow_fields("rms", 7, 3, 0)));
-        trace.record(
-            at(3600.0),
-            "net",
-            "link_restored",
-            payload(vec![("node", Json::UInt(3))]),
-        );
+        trace.record_fields(at(1.0), "net", "flow_start", &flow_fields("rms", 7, 3, 0));
+        trace.record_fields(at(5.0), "net", "link_cut", &[("node", Field::U64(3))]);
+        trace.record_fields(at(65.0), "net", "flow_aborted", &flow_fields("rms", 7, 3, 0));
+        trace.record_fields(at(3600.0), "net", "link_restored", &[("node", Field::U64(3))]);
         assert!(FlowConservation.check(&trace, &cx(3600.0)).is_empty());
         assert!(FaultClosure.check(&trace, &cx(3600.0)).is_empty());
     }
@@ -696,15 +685,15 @@ mod tests {
     #[test]
     fn slow_flow_at_horizon_is_not_a_violation() {
         let mut trace = TraceBus::new();
-        trace.record(at(3599.0), "net", "flow_start", payload(flow_fields("bd-map", 1, 2, 5)));
+        trace.record_fields(at(3599.0), "net", "flow_start", &flow_fields("bd-map", 1, 2, 5));
         assert!(FlowConservation.check(&trace, &cx(3600.0)).is_empty());
     }
 
     #[test]
     fn unattributable_abort_fires() {
         let mut trace = TraceBus::new();
-        trace.record(at(1.0), "net", "flow_start", payload(flow_fields("rms", 2, 4, 0)));
-        trace.record(at(20.0), "net", "flow_aborted", payload(flow_fields("rms", 2, 4, 0)));
+        trace.record_fields(at(1.0), "net", "flow_start", &flow_fields("rms", 2, 4, 0));
+        trace.record_fields(at(20.0), "net", "flow_aborted", &flow_fields("rms", 2, 4, 0));
         let hits = FlowConservation.check(&trace, &cx(100.0));
         assert_eq!(hits.len(), 1);
         assert!(hits[0].message.contains("no active cut"));
@@ -713,14 +702,9 @@ mod tests {
     #[test]
     fn lost_invocation_fires_faas_termination() {
         let mut trace = TraceBus::new();
-        trace.record(at(1.0), "workload", "arrival", payload(vec![("index", Json::UInt(0))]));
-        trace.record(at(2.0), "workload", "arrival", payload(vec![("index", Json::UInt(1))]));
-        trace.record(
-            at(1.1),
-            "faas",
-            "invoke",
-            payload(vec![("function", Json::Str("f".into()))]),
-        );
+        trace.record_fields(at(1.0), "workload", "arrival", &[("index", Field::U64(0))]);
+        trace.record_fields(at(2.0), "workload", "arrival", &[("index", Field::U64(1))]);
+        trace.record_fields(at(1.1), "faas", "invoke", &[("function", Field::Str("f"))]);
         // The second arrival vanished: no terminal, no flow, no retry.
         let hits = FaasTermination.check(&trace, &cx(100.0));
         assert_eq!(hits.len(), 1);
@@ -730,22 +714,17 @@ mod tests {
     #[test]
     fn on_wire_and_pending_retries_balance_the_faas_ledger() {
         let mut trace = TraceBus::new();
-        trace.record(at(1.0), "workload", "arrival", payload(vec![]));
-        trace.record(at(1.0), "net", "flow_start", payload(flow_fields("faas", 0, 1, 0)));
-        trace.record(at(2.0), "workload", "arrival", payload(vec![]));
-        trace.record(at(2.0), "net", "flow_start", payload(flow_fields("faas", 1, 2, 0)));
-        trace.record(at(2.5), "net", "flow_end", payload(flow_fields("faas", 1, 2, 0)));
-        trace.record(
-            at(2.5),
-            "faas",
-            "reject",
-            payload(vec![("function", Json::Str("f".into()))]),
-        );
-        trace.record(
+        trace.record_fields(at(1.0), "workload", "arrival", &[]);
+        trace.record_fields(at(1.0), "net", "flow_start", &flow_fields("faas", 0, 1, 0));
+        trace.record_fields(at(2.0), "workload", "arrival", &[]);
+        trace.record_fields(at(2.0), "net", "flow_start", &flow_fields("faas", 1, 2, 0));
+        trace.record_fields(at(2.5), "net", "flow_end", &flow_fields("faas", 1, 2, 0));
+        trace.record_fields(at(2.5), "faas", "reject", &[("function", Field::Str("f"))]);
+        trace.record_fields(
             at(2.5),
             "faas",
             "retry_scheduled",
-            payload(vec![("delay_secs", Json::Float(200.0))]),
+            &[("delay_secs", Field::F64(200.0))],
         );
         // arrivals=2 retries=1; terminals=1, on-wire=1, retry pending=1.
         assert!(FaasTermination.check(&trace, &cx(100.0)).is_empty());
@@ -754,24 +733,19 @@ mod tests {
     #[test]
     fn over_budget_restart_and_zombie_task_fire() {
         let mut trace = TraceBus::new();
-        trace.record(
+        trace.record_fields(
             at(10.0),
             "rms",
             "requeue_scheduled",
-            payload(vec![("task", Json::UInt(3)), ("attempt", Json::UInt(9))]),
+            &[("task", Field::U64(3)), ("attempt", Field::U64(9))],
         );
-        trace.record(
+        trace.record_fields(
             at(20.0),
             "rms",
             "task_abandoned",
-            payload(vec![("task", Json::UInt(4)), ("attempts", Json::UInt(5))]),
+            &[("task", Field::U64(4)), ("attempts", Field::U64(5))],
         );
-        trace.record(
-            at(30.0),
-            "rms",
-            "checkpoint_restore",
-            payload(vec![("task", Json::UInt(4))]),
-        );
+        trace.record_fields(at(30.0), "rms", "checkpoint_restore", &[("task", Field::U64(4))]);
         let ctx = InvariantCx { restart_max_attempts: Some(5), ..cx(100.0) };
         let hits = RestartBudget.check(&trace, &ctx);
         assert_eq!(hits.len(), 2, "{hits:?}");
@@ -783,40 +757,35 @@ mod tests {
 
     #[test]
     fn stuck_breaker_fires_and_recovered_breaker_passes() {
-        let brk = |state: &str| {
-            payload(vec![
-                ("function", Json::Str("f".into())),
-                ("state", Json::Str(state.to_owned())),
-            ])
-        };
-        let probe = || payload(vec![("function", Json::Str("f".into()))]);
+        let brk = |state| [("function", Field::Str("f")), ("state", Field::Str(state))];
+        let probe = [("function", Field::Str("f"))];
         let mut stuck = TraceBus::new();
-        stuck.record(at(10.0), "faas", "breaker", brk("open"));
-        stuck.record(at(100.0), "faas", "invoke", probe());
-        stuck.record(at(110.0), "faas", "invoke", probe());
-        stuck.record(at(120.0), "faas", "invoke", probe());
+        stuck.record_fields(at(10.0), "faas", "breaker", &brk("open"));
+        stuck.record_fields(at(100.0), "faas", "invoke", &probe);
+        stuck.record_fields(at(110.0), "faas", "invoke", &probe);
+        stuck.record_fields(at(120.0), "faas", "invoke", &probe);
         let ctx = InvariantCx { breaker_open_secs: Some(30.0), ..cx(1000.0) };
         let hits = BreakerRecovery.check(&stuck, &ctx);
         assert_eq!(hits.len(), 1);
         assert!(hits[0].message.contains("ended open"));
 
         let mut healthy = stuck.clone();
-        healthy.record(at(130.0), "faas", "breaker", brk("closed"));
+        healthy.record_fields(at(130.0), "faas", "breaker", &brk("closed"));
         assert!(BreakerRecovery.check(&healthy, &ctx).is_empty());
     }
 
     #[test]
     fn undrained_flow_after_restore_fires_stall_drain() {
         let mut trace = TraceBus::new();
-        trace.record(at(1.0), "net", "flow_start", payload(flow_fields("bd-map", 1, 2, 5)));
-        trace.record(at(5.0), "net", "link_cut", payload(vec![("node", Json::UInt(2))]));
-        trace.record(at(50.0), "net", "link_restored", payload(vec![("node", Json::UInt(2))]));
+        trace.record_fields(at(1.0), "net", "flow_start", &flow_fields("bd-map", 1, 2, 5));
+        trace.record_fields(at(5.0), "net", "link_cut", &[("node", Field::U64(2))]);
+        trace.record_fields(at(50.0), "net", "link_restored", &[("node", Field::U64(2))]);
         // Restored at t=50, drain bound 600 — still unresolved at t=650.
         let ctx = InvariantCx { drain_bound_secs: 600.0, ..cx(3600.0) };
         let hits = StallDrain.check(&trace, &ctx);
         assert_eq!(hits.len(), 1, "{hits:?}");
         let mut drained = trace.clone();
-        drained.record(at(120.0), "net", "flow_end", payload(flow_fields("bd-map", 1, 2, 5)));
+        drained.record_fields(at(120.0), "net", "flow_end", &flow_fields("bd-map", 1, 2, 5));
         assert!(StallDrain.check(&drained, &ctx).is_empty());
         // An unobservable drain window is vacuous.
         assert!(StallDrain.check(&trace, &InvariantCx { drain_bound_secs: 600.0, ..cx(100.0) })
@@ -826,9 +795,9 @@ mod tests {
     #[test]
     fn time_regression_fires_monotone_timestamps() {
         let mut trace = TraceBus::new();
-        trace.record(at(10.0), "rms", "machine_fail", payload(vec![]));
-        trace.record(at(5.0), "rms", "machine_fail", payload(vec![]));
-        trace.record(at(7.0), "faas", "invoke", payload(vec![])); // other component: fine
+        trace.record_fields(at(10.0), "rms", "machine_fail", &[]);
+        trace.record_fields(at(5.0), "rms", "machine_fail", &[]);
+        trace.record_fields(at(7.0), "faas", "invoke", &[]); // other component: fine
         let hits = MonotoneTimestamps.check(&trace, &cx(100.0));
         assert_eq!(hits.len(), 1);
         assert!(hits[0].message.contains("rms"));
@@ -837,17 +806,12 @@ mod tests {
     #[test]
     fn unbalanced_fault_windows_fire_fault_closure() {
         let mut trace = TraceBus::new();
-        trace.record(at(10.0), "failure", "outage", payload(vec![]));
-        trace.record(
-            at(12.0),
-            "net",
-            "link_degraded",
-            payload(vec![("node", Json::UInt(1))]),
-        );
+        trace.record_fields(at(10.0), "failure", "outage", &[]);
+        trace.record_fields(at(12.0), "net", "link_degraded", &[("node", Field::U64(1))]);
         let hits = FaultClosure.check(&trace, &cx(100.0));
         assert_eq!(hits.len(), 2, "{hits:?}");
-        trace.record(at(20.0), "failure", "repair", payload(vec![]));
-        trace.record(at(22.0), "net", "link_healed", payload(vec![("node", Json::UInt(1))]));
+        trace.record_fields(at(20.0), "failure", "repair", &[]);
+        trace.record_fields(at(22.0), "net", "link_healed", &[("node", Field::U64(1))]);
         assert!(FaultClosure.check(&trace, &cx(100.0)).is_empty());
     }
 

@@ -1249,8 +1249,6 @@ where
 }
 
 /// Starts a flow of (at least one) `bytes` from `src` to `dst` on the fabric.
-/// For the `#[inline]`, see [`route_flow`].
-#[inline]
 fn transfer(
     ctx: &mut Context<'_, EcosystemMsg>,
     net: Option<ActorId>,
@@ -1307,13 +1305,6 @@ fn fault_window<T>(
 
 /// Turns a finished flow back into its owner's message. Aborted flows
 /// (stranded on a cut endpoint past the flow timeout) retry or fail fast.
-///
-/// `#[inline]` here and on [`transfer`] is for the engine, not for these
-/// functions: it changes how rustc splits this crate into codegen units,
-/// and with both `Simulation::step` keeps `BinaryHeap::push` and `pop`
-/// inlined (without them they are out-of-line calls and `dag_backlog` runs
-/// a few percent slower).
-#[inline]
 fn route_flow(
     ctx: &mut Context<'_, EcosystemMsg>,
     peers: Peers,

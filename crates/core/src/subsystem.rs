@@ -15,16 +15,17 @@
 //! configuration afterwards.
 //!
 //! Because `report` reads only the trace (never a subsystem-private
-//! outcome), the same reporting code serves a standalone single-actor run,
-//! a composed full-stack run, and — for the wide-area federation, whose
-//! router remains a fluid model rather than an engine actor — a synthesized
-//! trace produced by [`Federated::record_outcome`]. What a subsystem did is
-//! exactly what it emitted; there is no side channel.
+//! outcome), the same reporting code serves a standalone single-actor run
+//! and a composed full-stack run. What a subsystem did is exactly what it
+//! emitted; there is no side channel.
+//!
+//! Reports read only the mode-agnostic bus queries (`count`,
+//! `field_stats`), so a streaming bus reports the same values as a
+//! full-retention one. A metric no rollup can answer is left out of a
+//! streaming report rather than read as 0.
 
-use mcs_rms::multicluster::FederationOutcome;
-use mcs_simcore::time::SimTime;
 use mcs_simcore::codec::Json;
-use mcs_simcore::trace::{payload, TraceBus, TraceEvent};
+use mcs_simcore::trace::TraceBus;
 
 /// What one subsystem measured, reduced from the shared trace: a flat list
 /// of named metrics, uniform across subsystems so reports can be tabulated,
@@ -51,25 +52,8 @@ pub trait Subsystem {
 
     /// Reduces the shared trace to this subsystem's metrics. Works on any
     /// trace that carries the subsystem's component records: a composed
-    /// run, a standalone wrapper run, or a synthesized bus.
+    /// run or a standalone wrapper run.
     fn report(&self, trace: &TraceBus) -> SubsystemReport;
-}
-
-fn mean(values: impl Iterator<Item = f64>) -> f64 {
-    let (sum, n) = values.fold((0.0, 0usize), |(s, n), v| (s + v, n + 1));
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
-    }
-}
-
-fn mean_field(events: &[&TraceEvent], key: &str) -> f64 {
-    mean(events.iter().filter_map(|e| e.field_f64(key)))
-}
-
-fn sum_field(events: &[&TraceEvent], key: &str) -> f64 {
-    events.iter().filter_map(|e| e.field_f64(key)).sum()
 }
 
 /// The batch-computing subsystem (the legacy
@@ -111,12 +95,12 @@ impl Subsystem for Serverless {
     }
 
     fn report(&self, trace: &TraceBus) -> SubsystemReport {
-        let invokes = trace.select("faas", "invoke");
+        let latency = trace.field_stats("faas", "invoke", "latency_secs");
         SubsystemReport {
             name: self.name(),
             metrics: vec![
-                ("invocations".to_owned(), invokes.len() as f64),
-                ("mean_latency_secs".to_owned(), mean_field(&invokes, "latency_secs")),
+                ("invocations".to_owned(), trace.count("faas", "invoke") as f64),
+                ("mean_latency_secs".to_owned(), latency.map_or(0.0, |s| s.mean())),
                 ("rejected".to_owned(), trace.count("faas", "reject") as f64),
                 ("failed".to_owned(), trace.count("faas", "invoke_failed") as f64),
                 ("warm_pool_kills".to_owned(), trace.count("faas", "kill_warm") as f64),
@@ -156,14 +140,14 @@ impl Subsystem for Bigdata {
     }
 
     fn report(&self, trace: &TraceBus) -> SubsystemReport {
-        let stages = trace.select("bigdata", "stage_finish");
-        let jobs = trace.select("bigdata", "job_finish");
+        let makespan = trace.field_stats("bigdata", "job_finish", "makespan_secs");
+        let stage = trace.field_stats("bigdata", "stage_finish", "secs");
         SubsystemReport {
             name: self.name(),
             metrics: vec![
-                ("jobs_finished".to_owned(), jobs.len() as f64),
-                ("mean_job_makespan_secs".to_owned(), mean_field(&jobs, "makespan_secs")),
-                ("mean_stage_secs".to_owned(), mean_field(&stages, "secs")),
+                ("jobs_finished".to_owned(), trace.count("bigdata", "job_finish") as f64),
+                ("mean_job_makespan_secs".to_owned(), makespan.map_or(0.0, |s| s.mean())),
+                ("mean_stage_secs".to_owned(), stage.map_or(0.0, |s| s.mean())),
                 ("node_fails".to_owned(), trace.count("bigdata", "node_fail") as f64),
                 (
                     "re_replications".to_owned(),
@@ -184,25 +168,23 @@ impl Subsystem for GraphAnalytics {
     }
 
     fn report(&self, trace: &TraceBus) -> SubsystemReport {
-        let queries = trace.select("graph", "query_finish");
-        let supersteps = trace.select("graph", "superstep_start");
-        let stragglers = supersteps
-            .iter()
-            .filter(|e| matches!(e.payload.get("straggler"), Some(Json::Bool(true))))
-            .count();
-        SubsystemReport {
-            name: self.name(),
-            metrics: vec![
-                ("queries_finished".to_owned(), queries.len() as f64),
-                (
-                    "mean_query_makespan_secs".to_owned(),
-                    mean_field(&queries, "makespan_secs"),
-                ),
-                ("supersteps".to_owned(), supersteps.len() as f64),
-                ("straggler_supersteps".to_owned(), stragglers as f64),
-                ("worker_fails".to_owned(), trace.count("graph", "worker_fail") as f64),
-            ],
+        let makespan = trace.field_stats("graph", "query_finish", "makespan_secs");
+        let mut metrics = vec![
+            ("queries_finished".to_owned(), trace.count("graph", "query_finish") as f64),
+            ("mean_query_makespan_secs".to_owned(), makespan.map_or(0.0, |s| s.mean())),
+            ("supersteps".to_owned(), trace.count("graph", "superstep_start") as f64),
+        ];
+        // `straggler` is a Bool field, which no streaming rollup keeps.
+        if !trace.is_streaming() {
+            let stragglers = trace
+                .select("graph", "superstep_start")
+                .iter()
+                .filter(|e| matches!(e.payload.get("straggler"), Some(Json::Bool(true))))
+                .count();
+            metrics.push(("straggler_supersteps".to_owned(), stragglers as f64));
         }
+        metrics.push(("worker_fails".to_owned(), trace.count("graph", "worker_fail") as f64));
+        SubsystemReport { name: self.name(), metrics }
     }
 }
 
@@ -216,7 +198,7 @@ impl Subsystem for Gaming {
     }
 
     fn report(&self, trace: &TraceBus) -> SubsystemReport {
-        let overload_windows = trace.select("gaming", "overload_end");
+        let overload = trace.field_stats("gaming", "overload_end", "secs");
         SubsystemReport {
             name: self.name(),
             metrics: vec![
@@ -228,78 +210,9 @@ impl Subsystem for Gaming {
                 ),
                 (
                     "overload_minutes".to_owned(),
-                    sum_field(&overload_windows, "secs") / 60.0,
+                    overload.map_or(0.0, |s| s.mean() * s.count() as f64 / 60.0),
                 ),
                 ("zone_fails".to_owned(), trace.count("gaming", "zone_fail") as f64),
-            ],
-        }
-    }
-}
-
-/// The wide-area federation (the legacy `Federation::run(jobs, horizon)`
-/// surface).
-///
-/// The federation's router is a *fluid* backlog model, not an engine actor,
-/// so a composed run never hosts it. Standalone federated runs go through
-/// [`Federated::record_outcome`] to synthesize `federation` trace records
-/// from a [`FederationOutcome`], after which [`Subsystem::report`] reads
-/// them like any other subsystem's records.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Federated;
-
-impl Federated {
-    /// Synthesizes `federation` trace records from a fluid-model outcome,
-    /// so standalone federated runs and composed engine runs share the
-    /// [`Subsystem::report`] path.
-    pub fn record_outcome(outcome: &FederationOutcome, trace: &mut TraceBus) {
-        for (cluster, (per, jobs)) in
-            outcome.per_cluster.iter().zip(&outcome.jobs_per_cluster).enumerate()
-        {
-            trace.record(
-                SimTime::ZERO,
-                "federation",
-                "cluster_outcome",
-                payload(vec![
-                    ("cluster", Json::UInt(cluster as u64)),
-                    ("jobs", Json::UInt(*jobs as u64)),
-                    ("completions", Json::UInt(per.completions.len() as u64)),
-                    ("makespan_secs", Json::Float(per.makespan.as_secs_f64())),
-                    ("mean_utilization", Json::Float(per.mean_utilization)),
-                ]),
-            );
-        }
-        trace.record(
-            SimTime::ZERO,
-            "federation",
-            "routing",
-            payload(vec![
-                ("offloaded_jobs", Json::UInt(outcome.offloaded_jobs as u64)),
-                ("transfer_delay_secs", Json::Float(outcome.transfer_delay_secs)),
-            ]),
-        );
-    }
-}
-
-impl Subsystem for Federated {
-    fn name(&self) -> &'static str {
-        "federation"
-    }
-
-    fn report(&self, trace: &TraceBus) -> SubsystemReport {
-        let clusters = trace.select("federation", "cluster_outcome");
-        let routing = trace.select("federation", "routing");
-        SubsystemReport {
-            name: self.name(),
-            metrics: vec![
-                ("clusters".to_owned(), clusters.len() as f64),
-                ("jobs_routed".to_owned(), sum_field(&clusters, "jobs")),
-                ("completions".to_owned(), sum_field(&clusters, "completions")),
-                ("mean_utilization".to_owned(), mean_field(&clusters, "mean_utilization")),
-                ("offloaded_jobs".to_owned(), sum_field(&routing, "offloaded_jobs")),
-                (
-                    "transfer_delay_secs".to_owned(),
-                    sum_field(&routing, "transfer_delay_secs"),
-                ),
             ],
         }
     }
@@ -323,7 +236,7 @@ mod tests {
     use super::*;
     use crate::scenario::{
         BatchConfig, BigdataConfig, FaasConfig, FailureConfig, GamingConfig, GraphConfig,
-        Scenario, ScenarioConfig,
+        ObservabilityConfig, Scenario, ScenarioConfig,
     };
     use mcs_simcore::time::SimTime;
 
@@ -376,18 +289,28 @@ mod tests {
     }
 
     #[test]
-    fn federation_outcomes_synthesize_onto_the_bus() {
-        use mcs_rms::multicluster::FederationOutcome;
-        let outcome = FederationOutcome {
-            per_cluster: vec![],
-            jobs_per_cluster: vec![],
-            offloaded_jobs: 7,
-            transfer_delay_secs: 12.5,
-        };
-        let mut trace = TraceBus::default();
-        Federated::record_outcome(&outcome, &mut trace);
-        let report = Federated.report(&trace);
-        assert_eq!(report.get("offloaded_jobs"), Some(7.0));
-        assert_eq!(report.get("transfer_delay_secs"), Some(12.5));
+    fn reports_agree_across_trace_sinks() {
+        // The ecosystem_full experiment's composition at seed 42.
+        let config = ScenarioConfig::default()
+            .with_bigdata(BigdataConfig::default())
+            .with_graph(GraphConfig { vertices: 1_000, edges: 4_000, ..GraphConfig::default() })
+            .with_gaming(GamingConfig::default());
+        let full = Scenario::new(config.clone()).run().trace;
+        let streaming =
+            Scenario::new(config.with_observability(ObservabilityConfig::default())).run().trace;
+        assert!(streaming.is_streaming() && !full.is_streaming());
+        for subsystem in full_stack() {
+            let (a, b) = (subsystem.report(&full), subsystem.report(&streaming));
+            for (metric, value) in &a.metrics {
+                match b.get(metric) {
+                    Some(v) => assert_eq!(v.to_bits(), value.to_bits(), "{}/{metric}", a.name),
+                    // The one row no rollup can answer is absent, never 0.
+                    None => {
+                        assert_eq!((a.name, metric.as_str()), ("graph", "straggler_supersteps"))
+                    }
+                }
+            }
+            assert!(b.metrics.iter().all(|(m, _)| a.get(m).is_some()), "{}", a.name);
+        }
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! [`DagActor`] drives a stream of generated [`DagJob`]s: tasks become
 //! ready when their parents finish, are ordered and placed by a
-//! [`SchedulingPolicy`] (per-job, chosen by the configured [`DagPolicy`] —
-//! fixed, or per-class via the simulate-ahead [`DagPortfolio`]), occupy
+//! [`SchedulingPolicy`](mcs_rms::policy::SchedulingPolicy) (per-job, chosen
+//! by the configured [`DagPolicy`] — fixed, or per-class via the
+//! simulate-ahead [`DagPortfolio`]), occupy
 //! machine resources while their inputs cross the fabric and their work
 //! burns down, and release them on completion.
 //!

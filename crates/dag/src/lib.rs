@@ -8,8 +8,8 @@
 //! - [`job::DagJob`] — a validated workflow (acyclic, weakly connected,
 //!   in-range edges) of [`job::DagTask`]s joined by byte-annotated
 //!   [`job::DagEdge`]s, with HEFT upward ranks and a critical-path bound.
-//! - [`generate`] — deterministic generators for the canonical science
-//!   shapes: chains, fork-join bags, Montage-like mosaics, LIGO-like
+//! - [`generate`](mod@generate) — deterministic generators for the
+//!   canonical science shapes: chains, fork-join bags, Montage-like mosaics, LIGO-like
 //!   inspiral pipelines; [`generate::poisson_workflows`] strings them into
 //!   a Poisson arrival stream, and [`job::DagJob::to_job`] lowers each
 //!   onto the batch scheduler's `Job`. This is the workspace's only

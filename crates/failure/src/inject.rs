@@ -13,10 +13,9 @@
 //! thousands.
 
 use crate::model::{Fault, Outage};
-use mcs_simcore::codec::Json;
 use mcs_simcore::engine::{Actor, Context, MessageEnvelope};
 use mcs_simcore::time::SimTime;
-use mcs_simcore::trace::payload;
+use mcs_simcore::trace::Field;
 
 /// The injector's message vocabulary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,14 +104,14 @@ impl<'a, M: MessageEnvelope<InjectorMsg>> FailureInjector<'a, M> {
         let f = self.faults[idx];
         self.cursor += 1;
         self.delivered += 1;
-        ctx.emit(
+        ctx.emit_fields(
             "failure",
             "outage",
-            payload(vec![
-                ("machine", Json::UInt(f.outage.machine as u64)),
-                ("kind", Json::Str(f.kind.name().to_owned())),
-                ("downtime_secs", Json::Float(f.outage.duration().as_secs_f64())),
-            ]),
+            &[
+                ("machine", Field::U64(f.outage.machine as u64)),
+                ("kind", Field::Str(f.kind.name())),
+                ("downtime_secs", Field::F64(f.outage.duration().as_secs_f64())),
+            ],
         );
         (self.deliver)(ctx, FailureEvent::Fail(f));
         let repair_at = match self.horizon {
@@ -125,13 +124,13 @@ impl<'a, M: MessageEnvelope<InjectorMsg>> FailureInjector<'a, M> {
 
     fn repair(&mut self, ctx: &mut Context<'_, M>, idx: usize) {
         let f = self.faults[idx];
-        ctx.emit(
+        ctx.emit_fields(
             "failure",
             "repair",
-            payload(vec![
-                ("machine", Json::UInt(f.outage.machine as u64)),
-                ("kind", Json::Str(f.kind.name().to_owned())),
-            ]),
+            &[
+                ("machine", Field::U64(f.outage.machine as u64)),
+                ("kind", Field::Str(f.kind.name())),
+            ],
         );
         (self.deliver)(ctx, FailureEvent::Repair(f));
     }

@@ -19,11 +19,10 @@ use crate::bsp::{BspEngine, BspStepper, StepStats};
 use crate::generate::erdos_renyi;
 use crate::graph::Graph;
 use crate::graphalytics::Algorithm;
-use mcs_simcore::codec::Json;
 use mcs_simcore::engine::{Actor, Context, MessageEnvelope, Simulation};
 use mcs_simcore::rng::RngStream;
 use mcs_simcore::time::{SimDuration, SimTime};
-use mcs_simcore::trace::{payload, TraceBus};
+use mcs_simcore::trace::{Field, TraceBus};
 
 /// Configuration of the graph-analytics subsystem inside a scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -196,16 +195,16 @@ impl BspActor {
         let algorithm = ROTATION[query % ROTATION.len()];
         let steps = self.profile(algorithm);
         let messages = steps.iter().map(|s| s.messages_sent).sum();
-        ctx.emit(
+        ctx.emit_fields(
             "graph",
             "query_submit",
-            payload(vec![
-                ("query", Json::UInt(query as u64)),
-                ("algorithm", Json::Str(algorithm.name().to_owned())),
-                ("supersteps", Json::UInt(steps.len() as u64)),
-                ("vertices", Json::UInt(u64::from(self.graph.vertex_count()))),
-                ("edges", Json::UInt(self.graph.edge_count())),
-            ]),
+            &[
+                ("query", Field::U64(query as u64)),
+                ("algorithm", Field::Str(algorithm.name())),
+                ("supersteps", Field::U64(steps.len() as u64)),
+                ("vertices", Field::U64(u64::from(self.graph.vertex_count()))),
+                ("edges", Field::U64(self.graph.edge_count())),
+            ],
         );
         if self.queries.len() <= query {
             self.queries.resize_with(query + 1, || None);
@@ -238,18 +237,18 @@ impl BspActor {
         if straggler {
             self.stragglers += 1;
         }
-        ctx.emit(
+        ctx.emit_fields(
             "graph",
             "superstep_start",
-            payload(vec![
-                ("query", Json::UInt(query as u64)),
-                ("superstep", Json::UInt(stats.superstep as u64)),
-                ("active", Json::UInt(stats.active_vertices)),
-                ("messages", Json::UInt(stats.messages_sent)),
-                ("secs", Json::Float(secs)),
-                ("slowdown", Json::Float(slowdown)),
-                ("straggler", Json::Bool(straggler)),
-            ]),
+            &[
+                ("query", Field::U64(query as u64)),
+                ("superstep", Field::U64(stats.superstep as u64)),
+                ("active", Field::U64(stats.active_vertices)),
+                ("messages", Field::U64(stats.messages_sent)),
+                ("secs", Field::F64(secs)),
+                ("slowdown", Field::F64(slowdown)),
+                ("straggler", Field::Bool(straggler)),
+            ],
         );
         ctx.send_self(SimDuration::from_secs_f64(secs), M::wrap(GraphMsg::SuperstepDone(query)));
     }
@@ -262,14 +261,14 @@ impl BspActor {
         let now = ctx.now();
         let Some(state) = self.queries.get_mut(query).and_then(Option::as_mut) else { return };
         let stats = state.steps[state.next];
-        ctx.emit(
+        ctx.emit_fields(
             "graph",
             "superstep_finish",
-            payload(vec![
-                ("query", Json::UInt(query as u64)),
-                ("superstep", Json::UInt(stats.superstep as u64)),
-                ("secs", Json::Float((now - state.step_started).as_secs_f64())),
-            ]),
+            &[
+                ("query", Field::U64(query as u64)),
+                ("superstep", Field::U64(stats.superstep as u64)),
+                ("secs", Field::F64((now - state.step_started).as_secs_f64())),
+            ],
         );
         state.next += 1;
         if state.next < state.steps.len() {
@@ -277,16 +276,16 @@ impl BspActor {
         } else {
             let state = self.queries[query].take().expect("query state present");
             self.completed += 1;
-            ctx.emit(
+            ctx.emit_fields(
                 "graph",
                 "query_finish",
-                payload(vec![
-                    ("query", Json::UInt(query as u64)),
-                    ("algorithm", Json::Str(state.algorithm.name().to_owned())),
-                    ("makespan_secs", Json::Float((now - state.submitted).as_secs_f64())),
-                    ("supersteps", Json::UInt(state.steps.len() as u64)),
-                    ("bsp_messages", Json::UInt(state.messages)),
-                ]),
+                &[
+                    ("query", Field::U64(query as u64)),
+                    ("algorithm", Field::Str(state.algorithm.name())),
+                    ("makespan_secs", Field::F64((now - state.submitted).as_secs_f64())),
+                    ("supersteps", Field::U64(state.steps.len() as u64)),
+                    ("bsp_messages", Field::U64(state.messages)),
+                ],
             );
         }
     }
@@ -296,13 +295,13 @@ impl BspActor {
             return;
         }
         self.dead_workers += 1;
-        ctx.emit(
+        ctx.emit_fields(
             "graph",
             "worker_fail",
-            payload(vec![
-                ("worker", Json::UInt(u64::from(node))),
-                ("degradation", Json::Float(self.degradation())),
-            ]),
+            &[
+                ("worker", Field::U64(u64::from(node))),
+                ("degradation", Field::F64(self.degradation())),
+            ],
         );
     }
 
@@ -311,7 +310,7 @@ impl BspActor {
             return;
         }
         self.dead_workers -= 1;
-        ctx.emit("graph", "worker_repair", payload(vec![("worker", Json::UInt(u64::from(node)))]));
+        ctx.emit_fields("graph", "worker_repair", &[("worker", Field::U64(u64::from(node)))]);
     }
 
     fn set_pressure<M: MessageEnvelope<GraphMsg>>(&mut self, ctx: &mut Context<'_, M>, on: bool) {
@@ -320,11 +319,7 @@ impl BspActor {
         } else {
             self.pressure = self.pressure.saturating_sub(1);
         }
-        ctx.emit(
-            "graph",
-            "pressure",
-            payload(vec![("windows", Json::UInt(u64::from(self.pressure)))]),
-        );
+        ctx.emit_fields("graph", "pressure", &[("windows", Field::U64(u64::from(self.pressure)))]);
     }
 }
 
@@ -363,6 +358,7 @@ pub fn run_graph_standalone(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcs_simcore::codec::Json;
 
     const HOUR: u64 = 3600;
 

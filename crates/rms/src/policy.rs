@@ -1,11 +1,10 @@
 //! The unified scheduling-policy surface.
 //!
 //! Historically the scheduler's policy space was two ad-hoc knobs — a
-//! [`QueuePolicy`] match inside `sort_queue` and an
-//! [`AllocationPolicy`](crate::allocation::AllocationPolicy) call inside
-//! `try_place` — which DAG-aware disciplines (HEFT ranks, data locality)
-//! cannot express: they need to order by precedence-derived priority and
-//! place by where a task's inputs live. [`SchedulingPolicy`] unifies both
+//! [`QueuePolicy`] match inside `sort_queue` and an [`AllocationPolicy`]
+//! call inside `try_place` — which DAG-aware disciplines (HEFT ranks, data
+//! locality) cannot express: they need to order by precedence-derived
+//! priority and place by where a task's inputs live. [`SchedulingPolicy`] unifies both
 //! halves behind one trait: *compare* decides queue order, *select_machine*
 //! decides placement, and *backfill* gates EASY backfilling. The legacy
 //! [`SchedulerConfig`] implements the trait by delegating to its knobs, so

@@ -12,8 +12,8 @@
 //! injector each define a message enum and an [`Actor`] impl, and composed
 //! scenarios (see `mcs-core`) run several of them in one [`Simulation`].
 //! While handling messages, actors emit structured records into the
-//! simulation's [`TraceBus`] via [`Context::emit`]; the bus is the single
-//! observable artifact of a run.
+//! simulation's [`TraceBus`] via [`Context::emit_fields`]; the bus is the
+//! single observable artifact of a run.
 //!
 //! Scheduling calls return an [`EventToken`]; pending events can be revoked
 //! with [`Context::cancel`] / [`Simulation::cancel`], which timer-driven
@@ -49,7 +49,6 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
 
-use crate::codec::Json;
 use crate::error::McsError;
 use crate::intern::FastHashSet;
 use crate::rng::RngStream;
@@ -222,17 +221,16 @@ impl<'a, M> Context<'a, M> {
     }
 
     /// Emits a structured record onto the simulation's [`TraceBus`] at the
-    /// current instant.
-    pub fn emit(&mut self, component: &str, event: &str, payload: Json) {
-        self.trace.record(self.now, component, event, payload);
-    }
-
-    /// Emits a record from a stack slice of scalar [`Field`]s — the lazy
-    /// hot path. On the default full-retention bus this produces exactly
-    /// the bytes [`Context::emit`] with [`crate::trace::payload`] would
-    /// have; on a streaming bus the fields are folded into rollups without
-    /// building a payload at all.
-    pub fn emit_fields(&mut self, component: &str, event: &str, fields: &[(&'static str, Field<'_>)]) {
+    /// current instant, from a stack slice of scalar [`Field`]s. The
+    /// default full-retention bus retains the object
+    /// [`crate::trace::payload`] builds from the same pairs; a streaming bus
+    /// folds the fields into rollups without building a payload at all.
+    pub fn emit_fields(
+        &mut self,
+        component: &str,
+        event: &str,
+        fields: &[(&'static str, Field<'_>)],
+    ) {
         self.trace.record_fields(self.now, component, event, fields);
     }
 
@@ -376,12 +374,6 @@ impl<'a, M> Simulation<'a, M> {
     /// The structured record of everything actors emitted so far.
     pub fn trace(&self) -> &TraceBus {
         &self.trace
-    }
-
-    /// Mutable access to the bus (harnesses use it to record setup events
-    /// before the run starts).
-    pub fn trace_mut(&mut self) -> &mut TraceBus {
-        &mut self.trace
     }
 
     /// Takes ownership of the trace, leaving an empty bus behind.
@@ -815,11 +807,7 @@ mod tests {
         impl Actor<Msg> for Emitter {
             fn handle(&mut self, ctx: &mut Context<'_, Msg>, msg: Msg) {
                 if let Msg::Tick(n) = msg {
-                    ctx.emit(
-                        "emitter",
-                        "tick",
-                        crate::trace::payload(vec![("n", Json::UInt(u64::from(n)))]),
-                    );
+                    ctx.emit_fields("emitter", "tick", &[("n", Field::U64(u64::from(n)))]);
                 }
             }
         }

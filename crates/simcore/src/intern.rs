@@ -2,8 +2,8 @@
 //!
 //! Every trace record names its emitting component and event kind, and both
 //! are drawn from a tiny fixed vocabulary (`"rms"`, `"invoke"`, …). Storing
-//! them as owned `String`s made [`crate::trace::TraceBus::record`] allocate
-//! twice per event — pure waste on the hottest observability path in the
+//! them as owned `String`s made [`crate::trace::TraceBus::record_fields`]
+//! allocate twice per event — pure waste on the hottest observability path in the
 //! workspace. An [`Interner`] maps each distinct name to a [`Symbol`] (a
 //! dense `u32` id) exactly once; afterwards identity is a copy, comparison
 //! is an integer compare, and the `(component, event)` query index can key
@@ -11,8 +11,9 @@
 //!
 //! Symbols are meaningful only relative to the interner that issued them —
 //! each [`crate::trace::TraceBus`] owns its own table (a per-simulation
-//! string table), so merging buses re-interns through
-//! [`crate::trace::TraceBus::extend_from`]. Symbol ids are assigned in
+//! string table), and a bus read back with
+//! [`crate::trace::TraceBus::from_json_str`] re-interns every name. Symbol
+//! ids are assigned in
 //! first-intern order, which is deterministic for a deterministic
 //! simulation; serialization always resolves symbols back to their strings,
 //! so no id ever leaks into a trace artifact.

@@ -830,34 +830,18 @@ mod tests {
 
     #[test]
     fn trace_aggregation_matches_hand_computation() {
-        use crate::codec::Json;
-        use crate::trace::payload;
+        use crate::trace::Field;
         let mut bus = TraceBus::new();
-        bus.record(
-            SimTime::from_secs(1),
-            "svc",
-            "latency",
-            payload(vec![("secs", Json::Float(1.0))]),
-        );
-        bus.record(
-            SimTime::from_secs(2),
-            "svc",
-            "latency",
-            payload(vec![("secs", Json::Float(3.0))]),
-        );
-        bus.record(SimTime::from_secs(3), "svc", "other", payload(vec![]));
+        bus.record_fields(SimTime::from_secs(1), "svc", "latency", &[("secs", Field::F64(1.0))]);
+        bus.record_fields(SimTime::from_secs(2), "svc", "latency", &[("secs", Field::F64(3.0))]);
+        bus.record_fields(SimTime::from_secs(3), "svc", "other", &[]);
 
         let s = summarize_trace(&bus, "svc", "latency", "secs").unwrap();
         assert_eq!(s.count, 2);
         assert!((s.mean - 2.0).abs() < 1e-12);
         assert!(summarize_trace(&bus, "svc", "other", "secs").is_none());
 
-        bus.record(
-            SimTime::from_secs(10),
-            "svc",
-            "level",
-            payload(vec![("n", Json::Float(4.0))]),
-        );
+        bus.record_fields(SimTime::from_secs(10), "svc", "level", &[("n", Field::F64(4.0))]);
         let tw = trace_gauge(&bus, "svc", "level", "n", 0.0);
         // Level 0 for 10 s, then 4 for 10 s: average 2.
         assert!((tw.average_until(SimTime::from_secs(20)) - 2.0).abs() < 1e-12);

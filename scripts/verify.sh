@@ -8,6 +8,10 @@ cargo build --release --offline --workspace --bins --examples
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Rustdoc gate: every intra-doc link must resolve, so a deleted or renamed
+# API cannot leave a dangling link behind in a doc comment.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 # Benchmark gate: the benchmark package's own tests, including the pinned
 # per-workload outcome digests at seed 42.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
@@ -70,4 +74,4 @@ if [ "$allow_count" -gt "$allow_budget" ]; then
     exit 1
 fi
 
-echo "verify: OK (offline build + tests + clippy + benchmark tests + example smoke runs + par-aware determinism diffs + report snapshots + invariant gate + benchmark smoke + self-compare + allow-lint budget)"
+echo "verify: OK (offline build + tests + clippy + rustdoc + benchmark tests + example smoke runs + par-aware determinism diffs + report snapshots + invariant gate + benchmark smoke + self-compare + allow-lint budget)"

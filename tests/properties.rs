@@ -248,7 +248,6 @@ fn mmc_consistency() {
 /// with the same seed, for arbitrary mesh sizes and flood depths.
 #[test]
 fn same_timestamp_mesh_delivery_is_deterministic() {
-    use mcs::simcore::codec::Json;
     use mcs::simcore::engine::{Actor, ActorId, Context, Simulation};
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -267,13 +266,13 @@ fn same_timestamp_mesh_delivery_is_deterministic() {
     impl Actor<Flood> for MeshActor {
         fn handle(&mut self, ctx: &mut Context<'_, Flood>, msg: Flood) {
             self.log.borrow_mut().push((self.index, msg.ttl));
-            ctx.emit(
+            ctx.emit_fields(
                 "mesh",
                 "recv",
-                Json::Obj(vec![
-                    ("actor".into(), Json::UInt(self.index as u64)),
-                    ("ttl".into(), Json::UInt(u64::from(msg.ttl))),
-                ]),
+                &[
+                    ("actor", Field::U64(self.index as u64)),
+                    ("ttl", Field::U64(u64::from(msg.ttl))),
+                ],
             );
             if msg.ttl > 0 {
                 for offset in [1usize, 2] {
@@ -349,10 +348,11 @@ fn composed_scenario_trace_is_deterministic() {
     });
 }
 
-/// Interning is invisible in the serialized artifact: a trace bus encodes
-/// byte-identically to the reference un-interned encoding (a plain JSON
-/// object per event with owned-string identity), at arbitrary seeds,
-/// vocabularies, and payload shapes.
+/// Interning is invisible in the serialized artifact: a trace bus written
+/// through `record_fields` encodes byte-identically to the reference
+/// un-interned encoding (a plain JSON object per event with owned-string
+/// identity and a `payload` body), at arbitrary seeds, vocabularies, and
+/// payload shapes drawn from every `Field` variant.
 #[test]
 fn interned_trace_serializes_byte_identically() {
     use mcs::simcore::trace::{payload, TraceBus};
@@ -361,6 +361,7 @@ fn interned_trace_serializes_byte_identically() {
     const EVENTS: [&str; 5] = ["task_finish", "invoke", "outage", "scale", "retry_scheduled"];
     const KEYS: [&str; 4] = ["latency_secs", "capacity", "kind", "ok"];
 
+    let words: Vec<String> = (0..50).map(|i| format!("v{i}")).collect();
     Check::new("interned_trace_serializes_byte_identically").cases(32).run(|rng| {
         let n = rng.uniform_usize(120);
         let mut bus = TraceBus::new();
@@ -369,21 +370,40 @@ fn interned_trace_serializes_byte_identically() {
             let at = SimTime::from_nanos(i as u64 * 1_000 + rng.uniform_usize(999) as u64);
             let component = COMPONENTS[rng.uniform_usize(COMPONENTS.len())];
             let event = EVENTS[rng.uniform_usize(EVENTS.len())];
-            let fields: Vec<(&'static str, Json)> = KEYS
+            let (fields, values): (Vec<_>, Vec<_>) = KEYS
                 .iter()
                 .take(rng.uniform_usize(KEYS.len() + 1))
                 .map(|&k| {
-                    let v = match rng.uniform_usize(4) {
-                        0 => Json::Float(rng.uniform_f64(-10.0, 10.0)),
-                        1 => Json::UInt(rng.uniform_usize(1_000_000) as u64),
-                        2 => Json::Str(format!("v{}", rng.uniform_usize(50))),
-                        _ => Json::Bool(rng.uniform_usize(2) == 0),
+                    let (field, value) = match rng.uniform_usize(5) {
+                        0 => {
+                            let x = rng.uniform_f64(-10.0, 10.0);
+                            (Field::F64(x), Json::Float(x))
+                        }
+                        1 => {
+                            let x = rng.uniform_usize(1_000_000) as u64;
+                            (Field::U64(x), Json::UInt(x))
+                        }
+                        2 => {
+                            // Negative: the parser reads a non-negative
+                            // integer back as `Json::UInt`.
+                            let x = -1 - rng.uniform_usize(1_000_000) as i64;
+                            (Field::I64(x), Json::Int(x))
+                        }
+                        3 => {
+                            let w = &words[rng.uniform_usize(words.len())];
+                            (Field::Str(w), Json::Str(w.clone()))
+                        }
+                        _ => {
+                            let b = rng.uniform_usize(2) == 0;
+                            (Field::Bool(b), Json::Bool(b))
+                        }
                     };
-                    (k, v)
+                    ((k, field), (k, value))
                 })
-                .collect();
-            let body = payload(fields);
-            bus.record(at, component, event, body.clone());
+                .unzip();
+            bus.record_fields(at, component, event, &fields);
+            let body = payload(values);
+            prop_assert_eq!(&bus.events()[i].payload, &body);
             reference.push(Json::Obj(vec![
                 ("at".into(), at.to_json()),
                 ("component".into(), Json::Str(component.to_owned())),
@@ -405,7 +425,7 @@ fn interned_trace_serializes_byte_identically() {
 /// full scan — including when records keep arriving after the index exists.
 #[test]
 fn indexed_trace_queries_match_naive_scans() {
-    use mcs::simcore::trace::{payload, TraceBus, TraceEvent};
+    use mcs::simcore::trace::{TraceBus, TraceEvent};
 
     const COMPONENTS: [&str; 4] = ["rms", "faas", "autoscale", "failure"];
     const EVENTS: [&str; 3] = ["task_finish", "invoke", "outage"];
@@ -423,11 +443,11 @@ fn indexed_trace_queries_match_naive_scans() {
     Check::new("indexed_trace_queries_match_naive_scans").cases(32).run(|rng| {
         let mut bus = TraceBus::new();
         let record = |bus: &mut TraceBus, rng: &mut RngStream, i: usize| {
-            bus.record(
+            bus.record_fields(
                 SimTime::from_nanos(i as u64),
                 COMPONENTS[rng.uniform_usize(COMPONENTS.len())],
                 EVENTS[rng.uniform_usize(EVENTS.len())],
-                payload(vec![("x", Json::Float(rng.uniform_f64(0.0, 1.0)))]),
+                &[("x", Field::F64(rng.uniform_f64(0.0, 1.0)))],
             );
         };
         let first = rng.uniform_usize(200);
@@ -486,7 +506,7 @@ fn seed_fanout_is_worker_count_independent() {
     impl Actor<Ping> for Pinger {
         fn handle(&mut self, ctx: &mut Context<'_, Ping>, _msg: Ping) {
             let jitter = ctx.rng().uniform_f64(0.0, 1.0);
-            ctx.emit("pinger", "ping", Json::Obj(vec![("jitter".into(), Json::Float(jitter))]));
+            ctx.emit_fields("pinger", "ping", &[("jitter", Field::F64(jitter))]);
             let left = self.left.get();
             if left > 0 {
                 self.left.set(left - 1);
