@@ -52,7 +52,6 @@ impl Experiment for Table5Paradigms {
                 queue: QueuePolicy::Fcfs,
                 allocation: AllocationPolicy::FirstFit,
                 backfill: false,
-                ..Default::default()
             };
             let out = ClusterScheduler::new(cluster(), config, seed).run(jobs.clone(), horizon);
             results.push(ParadigmResult {
@@ -70,7 +69,6 @@ impl Experiment for Table5Paradigms {
                 queue: QueuePolicy::Fcfs,
                 allocation: AllocationPolicy::BestFit,
                 backfill: true,
-                ..Default::default()
             };
             let out = ClusterScheduler::new(cluster(), config, seed).run(jobs.clone(), horizon);
             results.push(ParadigmResult {

@@ -66,28 +66,6 @@ pub fn run_cli(experiment: &dyn Experiment) {
     print!("{}", experiment.run(seed).render());
 }
 
-/// Prints an aligned table: a header row and data rows of equal arity.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (w, cell) in widths.iter_mut().zip(row) {
-            *w = (*w).max(cell.len());
-        }
-    }
-    let line = |cells: Vec<String>| {
-        let mut s = String::new();
-        for (w, c) in widths.iter().zip(cells) {
-            s.push_str(&format!("{c:>w$}  ", w = w));
-        }
-        println!("{}", s.trim_end());
-    };
-    line(headers.iter().map(|h| (*h).to_owned()).collect());
-    line(widths.iter().map(|w| "-".repeat(*w)).collect());
-    for row in rows {
-        line(row.clone());
-    }
-}
-
 /// A standard 32-machine commodity cluster.
 pub fn standard_cluster() -> Cluster {
     Cluster::homogeneous(

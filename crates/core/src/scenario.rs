@@ -759,7 +759,6 @@ pub struct ScenarioOutcome {
 pub struct Scenario {
     config: ScenarioConfig,
     autoscaler: Box<dyn Autoscaler>,
-    functions: Vec<FunctionSpec>,
 }
 
 impl Scenario {
@@ -794,10 +793,6 @@ impl Scenario {
         Ok(Scenario {
             config,
             autoscaler: Box::new(React::default()),
-            functions: vec![
-                FunctionSpec::api_handler("api"),
-                FunctionSpec::data_processor("etl"),
-            ],
         })
     }
 
@@ -810,17 +805,6 @@ impl Scenario {
     #[must_use]
     pub fn with_autoscaler(mut self, autoscaler: Box<dyn Autoscaler>) -> Self {
         self.autoscaler = autoscaler;
-        self
-    }
-
-    /// Replaces the FaaS deployment (invocations round-robin across specs).
-    ///
-    /// # Panics
-    /// Panics when `functions` is empty.
-    #[must_use]
-    pub fn with_functions(mut self, functions: Vec<FunctionSpec>) -> Self {
-        assert!(!functions.is_empty(), "scenario needs at least one function");
-        self.functions = functions;
         self
     }
 
@@ -879,19 +863,16 @@ impl Scenario {
 
         let mut platform = cfg.faas.is_some().then(|| {
             let mut platform = FaasPlatform::new(KeepAlivePolicy::Fixed(FAAS_KEEP_ALIVE), cfg.seed);
-            for spec in &self.functions {
-                platform.deploy(spec.clone());
-            }
+            platform.deploy(FunctionSpec::api_handler(FUNCTIONS[0]));
+            platform.deploy(FunctionSpec::data_processor(FUNCTIONS[1]));
             platform
         });
-        let functions: Vec<String> = self.functions.iter().map(|f| f.name.clone()).collect();
         let mut process = cfg.faas.as_ref().map(|faas| Poisson::new(faas.arrival_rate));
 
         // With a network attached, the invocation payload travels as a flow
         // from the caller's node to the platform front-end (node 0); the
         // flow router issues the Invoke on delivery.
         let mut arrival = cfg.faas.as_ref().zip(process.as_mut()).map(|(faas, process)| {
-            let functions = functions.clone();
             ArrivalActor::new(
                 process,
                 RngStream::new(cfg.seed, "arrivals"),
@@ -903,7 +884,7 @@ impl Scenario {
                         let src = index as u32 % machines;
                         transfer(ctx, peers.net, src, 0, FAAS_PAYLOAD_BYTES, tag);
                     } else {
-                        send(ctx, peers.faas, invoke(&functions, index));
+                        send(ctx, peers.faas, invoke(index));
                     }
                 },
             )
@@ -1089,10 +1070,9 @@ impl Scenario {
         // The shared fabric, with the router that turns finished (or
         // aborted) flows back into tenant messages.
         let mut net_actor = cfg.network.as_ref().map(|net| {
-            let functions = functions.clone();
             NetActor::new(net.topology(cfg.machines))
                 .with_flow_timeout(net.flow_timeout)
-                .with_completion(move |ctx, done| route_flow(ctx, peers, done, &functions))
+                .with_completion(move |ctx, done| route_flow(ctx, peers, done))
         });
 
         let mut sim: Simulation<'_, EcosystemMsg> = Simulation::new(cfg.seed);
@@ -1270,9 +1250,12 @@ fn worker(seq: u64, machines: u32) -> u32 {
     }
 }
 
+/// The FaaS deployment: an API handler and a data processor.
+const FUNCTIONS: [&str; 2] = ["api", "etl"];
+
 /// The invocation of arrival `index`, round-robin over the deployment.
-fn invoke(functions: &[String], index: usize) -> FaasMsg {
-    FaasMsg::Invoke { function: functions[index % functions.len()].clone() }
+fn invoke(index: usize) -> FaasMsg {
+    FaasMsg::Invoke { function: FUNCTIONS[index % FUNCTIONS.len()].to_owned() }
 }
 
 /// Opens a service-level fault window on `peer` at a strike, and closes it
@@ -1305,17 +1288,12 @@ fn fault_window<T>(
 
 /// Turns a finished flow back into its owner's message. Aborted flows
 /// (stranded on a cut endpoint past the flow timeout) retry or fail fast.
-fn route_flow(
-    ctx: &mut Context<'_, EcosystemMsg>,
-    peers: Peers,
-    done: &FlowDone,
-    functions: &[String],
-) {
+fn route_flow(ctx: &mut Context<'_, EcosystemMsg>, peers: Peers, done: &FlowDone) {
     let id = done.tag.id;
     match done.tag.owner {
         // A lost invocation payload fails fast: nothing retries it.
         FlowOwner::Faas if done.aborted => {}
-        FlowOwner::Faas => send(ctx, peers.faas, invoke(functions, id as usize)),
+        FlowOwner::Faas => send(ctx, peers.faas, invoke(id as usize)),
         // Responses only contend for bandwidth; nothing waits on them.
         FlowOwner::FaasResp => {}
         // Fetched or abandoned, the checkpoint is done with: the task

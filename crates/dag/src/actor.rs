@@ -335,12 +335,6 @@ impl<'a, M: MessageEnvelope<DagMsg>> DagActor<'a, M> {
         self.stall_secs
     }
 
-    /// The portfolio's per-class decisions (empty unless
-    /// [`DagPolicy::Portfolio`] is configured).
-    pub fn portfolio_decisions(&self) -> &[(DagClass, usize)] {
-        self.portfolio.decisions()
-    }
-
     fn on_start(&mut self, ctx: &mut Context<'_, M>) {
         let interval = SimDuration::from_secs_f64(self.cfg.submit_interval_secs.max(0.0));
         let mut at = ctx.now();
@@ -357,7 +351,7 @@ impl<'a, M: MessageEnvelope<DagMsg>> DagActor<'a, M> {
             DagPolicy::Locality => 2,
             DagPolicy::Portfolio => {
                 let job = &self.jobs[j];
-                self.portfolio.choose_index(job.class, &job.dag, &self.spec, REFERENCE_BANDWIDTH)
+                self.portfolio.choose(job.class, &job.dag, &self.spec, REFERENCE_BANDWIDTH)
             }
         }
     }

@@ -16,7 +16,8 @@
 //!   workflow model.
 //! - [`portfolio`] — [`portfolio::lookahead_makespan`], a pure simulate-ahead
 //!   list scheduler, and [`portfolio::DagPortfolio`], which races candidate
-//!   policies per workflow class and caches the winner.
+//!   policies per workflow class under the batch scheduler's selection rule
+//!   (`mcs_rms::portfolio::Portfolio`) and caches the winner.
 //! - [`actor::DagActor`] — the workflow engine on the shared simulation:
 //!   tasks become ready as parents finish, a [`SchedulingPolicy`] orders and
 //!   places them, and edge payloads either take `bytes / reference
@@ -37,7 +38,8 @@
 //! let spec = DagClusterSpec { machines: 8, cores_per_machine: 8.0, memory_per_machine_gb: 32.0 };
 //! let mut portfolio = DagPortfolio::standard(4);
 //! let winner = portfolio.choose(DagClass::Montage, &dag, &spec, 100.0 * 1024.0 * 1024.0);
-//! assert!(["heft", "greedy", "locality"].contains(&winner.name()));
+//! let name = portfolio.candidates()[winner].name();
+//! assert!(["heft", "greedy", "locality"].contains(&name));
 //! ```
 //!
 //! [`SchedulingPolicy`]: mcs_rms::policy::SchedulingPolicy

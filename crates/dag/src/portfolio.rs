@@ -5,8 +5,9 @@
 //! workflow, and run the winner. [`lookahead_makespan`] is the simulator —
 //! a pure, engine-free list scheduler over an idle cluster at reference
 //! bandwidth (contention-free, like every practical lookahead) — and
-//! [`DagPortfolio`] caches one decision per [`DagClass`], since jobs of a
-//! class share their shape and the first lookahead answers for all.
+//! [`DagPortfolio`] picks with the batch scheduler's [`Portfolio`] rule,
+//! caching one decision per [`DagClass`], since jobs of a class share their
+//! shape and the first lookahead answers for all.
 
 use crate::generate::DagClass;
 use crate::job::DagJob;
@@ -16,6 +17,7 @@ use mcs_infra::resource::ResourceVector;
 use mcs_rms::policy::{
     GreedyReadyPolicy, HeftPolicy, LocalityFirstPolicy, QueuedTaskView, SchedulingPolicy,
 };
+use mcs_rms::portfolio::Portfolio;
 use mcs_simcore::rng::RngStream;
 use mcs_simcore::time::{SimDuration, SimTime};
 use mcs_workload::task::TaskId;
@@ -239,9 +241,8 @@ fn at_least(a: &ResourceVector, b: &ResourceVector) -> bool {
 /// Simulate-ahead portfolio over workflow scheduling policies, one cached
 /// decision per workflow class.
 pub struct DagPortfolio {
-    candidates: Vec<Box<dyn SchedulingPolicy>>,
+    portfolio: Portfolio<Box<dyn SchedulingPolicy>>,
     chosen: HashMap<DagClass, usize>,
-    decisions: Vec<(DagClass, usize)>,
 }
 
 impl DagPortfolio {
@@ -259,59 +260,30 @@ impl DagPortfolio {
     /// # Panics
     /// Panics when `candidates` is empty.
     pub fn new(candidates: Vec<Box<dyn SchedulingPolicy>>) -> Self {
-        assert!(!candidates.is_empty(), "portfolio needs at least one candidate");
-        DagPortfolio { candidates, chosen: HashMap::new(), decisions: Vec::new() }
+        DagPortfolio { portfolio: Portfolio::new(candidates), chosen: HashMap::new() }
     }
 
     /// The candidate policies.
     pub fn candidates(&self) -> &[Box<dyn SchedulingPolicy>] {
-        &self.candidates
+        self.portfolio.candidates()
     }
 
-    /// The decision log: `(class, winning candidate index)` per first
-    /// encounter of each class.
-    pub fn decisions(&self) -> &[(DagClass, usize)] {
-        &self.decisions
-    }
-
-    /// Picks the candidate for `dag` of `class`: the first job of a class
-    /// pays one lookahead per candidate; subsequent jobs reuse the cached
-    /// winner.
+    /// Index into [`DagPortfolio::candidates`] of the policy for `dag` of
+    /// `class`: the first job of a class pays one lookahead per candidate;
+    /// subsequent jobs reuse the cached winner.
     pub fn choose(
         &mut self,
         class: DagClass,
         dag: &DagJob,
         cluster_spec: &DagClusterSpec,
         ref_bandwidth: f64,
-    ) -> &dyn SchedulingPolicy {
-        let i = self.choose_index(class, dag, cluster_spec, ref_bandwidth);
-        self.candidates[i].as_ref()
-    }
-
-    /// Like [`DagPortfolio::choose`], returning the winning candidate's
-    /// index into [`DagPortfolio::candidates`].
-    pub fn choose_index(
-        &mut self,
-        class: DagClass,
-        dag: &DagJob,
-        cluster_spec: &DagClusterSpec,
-        ref_bandwidth: f64,
     ) -> usize {
-        if let Some(&i) = self.chosen.get(&class) {
-            return i;
-        }
-        let mut best = 0usize;
-        let mut best_score = f64::INFINITY;
-        for (i, cand) in self.candidates.iter().enumerate() {
-            let score = lookahead_makespan(dag, cluster_spec, ref_bandwidth, cand.as_ref());
-            if score < best_score {
-                best_score = score;
-                best = i;
-            }
-        }
-        self.chosen.insert(class, best);
-        self.decisions.push((class, best));
-        best
+        let portfolio = &self.portfolio;
+        *self.chosen.entry(class).or_insert_with(|| {
+            portfolio.best(|policy| {
+                lookahead_makespan(dag, cluster_spec, ref_bandwidth, policy.as_ref())
+            })
+        })
     }
 }
 
@@ -366,9 +338,9 @@ mod tests {
         let mut p = DagPortfolio::standard(8);
         let a = generate(DagClass::Montage, &shape(), &mut rng);
         let b = generate(DagClass::Montage, &shape(), &mut rng);
-        let first = p.choose(DagClass::Montage, &a, &spec(), bw).name();
-        let second = p.choose(DagClass::Montage, &b, &spec(), bw).name();
+        let first = p.choose(DagClass::Montage, &a, &spec(), bw);
+        let second = p.choose(DagClass::Montage, &b, &spec(), bw);
         assert_eq!(first, second);
-        assert_eq!(p.decisions().len(), 1, "one lookahead per class");
+        assert_eq!(p.chosen.len(), 1, "one lookahead per class");
     }
 }

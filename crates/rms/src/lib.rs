@@ -7,12 +7,13 @@
 //!
 //! - **allocation** — placing tasks on provisioned machines
 //!   ([`allocation`], [`scheduler`]), with queue disciplines, EASY
-//!   backfilling, failure-driven requeues, and checkpointing;
+//!   backfilling, failure-driven requeues, and checkpoint-restart;
 //! - **provisioning** — acquiring machines on the user's behalf
 //!   ([`provisioning`]) and routing work across a federation of clusters
 //!   ([`multicluster`]), including overload offloading (C10);
 //! - **adaptation** — portfolio scheduling ([`portfolio`]): simulate the
-//!   policy candidates at runtime and adopt the current winner (C6).
+//!   policy candidates at runtime and adopt the current winner (C6); the
+//!   workflow engine's portfolio shares its selection rule.
 //!
 //! ## Example
 //! ```
@@ -56,7 +57,6 @@ pub mod prelude {
         ProvisioningPolicy, StaticProvisioning,
     };
     pub use crate::scheduler::{
-        ClusterScheduler, PolicySelector, QueuePolicy, RmsMsg, ScheduleOutcome, SchedulerActor,
-        SchedulerConfig, SchedulerView,
+        ClusterScheduler, QueuePolicy, RmsMsg, ScheduleOutcome, SchedulerActor, SchedulerConfig,
     };
 }

@@ -2,21 +2,62 @@
 //!
 //! The paper lists portfolio scheduling among the proven self-adaptation
 //! approaches (C6, approach iv; applied to business-critical workloads in
-//! van Beek et al. \[112\]). At every decision tick the portfolio selector
-//! forward-simulates the *currently queued work* under each candidate
-//! configuration on an idle copy of the cluster, and adopts the
-//! configuration with the best predicted objective.
+//! van Beek et al. \[112\]). [`Portfolio`] holds the candidate list and the
+//! one selection rule; the batch scheduler and the workflow engine
+//! (`mcs_dag::DagPortfolio`) each supply only a predictor.
 //!
-//! The idle-clone lookahead is an approximation (running tasks keep their
-//! machines in reality); it is the standard simulation-based selector and is
-//! cheap enough to run inside the decision loop.
+//! At every decision tick the [`PortfolioSelector`] forward-simulates the
+//! *currently queued work* under each candidate configuration on an idle
+//! copy of the cluster, and adopts the configuration with the best
+//! predicted objective. The idle-clone lookahead is an approximation
+//! (running tasks keep their machines in reality); it is the standard
+//! simulation-based selector and is cheap enough to run inside the decision
+//! loop.
 
-use crate::scheduler::{
-    ClusterScheduler, PolicySelector, SchedulerConfig, SchedulerView,
-};
+use crate::scheduler::{ClusterScheduler, SchedulerConfig};
 use mcs_infra::cluster::{Cluster, ClusterId};
+use mcs_infra::resource::ResourceVector;
 use mcs_simcore::time::SimTime;
 use mcs_workload::task::{Job, JobId, JobKind, Task, TaskId, UserId};
+
+/// A non-empty candidate list and the selection rule every portfolio
+/// shares.
+#[derive(Debug)]
+pub struct Portfolio<C> {
+    candidates: Vec<C>,
+}
+
+impl<C> Portfolio<C> {
+    /// A portfolio over `candidates`.
+    ///
+    /// # Panics
+    /// Panics when `candidates` is empty.
+    pub fn new(candidates: Vec<C>) -> Self {
+        assert!(!candidates.is_empty(), "portfolio needs at least one candidate");
+        Portfolio { candidates }
+    }
+
+    /// The candidate list.
+    pub fn candidates(&self) -> &[C] {
+        &self.candidates
+    }
+
+    /// Index of the candidate with the lowest prediction. `predict` runs
+    /// once per candidate, in order; the first of tied candidates wins, and
+    /// index 0 wins when every prediction is infinite.
+    pub fn best(&self, mut predict: impl FnMut(&C) -> f64) -> usize {
+        let mut best = 0;
+        let mut best_score = f64::INFINITY;
+        for (i, candidate) in self.candidates.iter().enumerate() {
+            let score = predict(candidate);
+            if score < best_score {
+                best_score = score;
+                best = i;
+            }
+        }
+        best
+    }
+}
 
 /// What the portfolio optimizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -27,16 +68,17 @@ pub enum Objective {
     MeanResponse,
 }
 
-/// A simulation-based portfolio selector.
+/// How far ahead each candidate's lookahead simulates.
+const LOOKAHEAD: SimTime = SimTime::from_secs(24 * 3600);
+
+/// A simulation-based portfolio selector over scheduler configurations.
 #[derive(Debug)]
 pub struct PortfolioSelector {
-    candidates: Vec<SchedulerConfig>,
+    portfolio: Portfolio<SchedulerConfig>,
     objective: Objective,
-    lookahead: SimTime,
     seed: u64,
     /// History of `(decision instant, chosen candidate index)`.
     decisions: Vec<(SimTime, usize)>,
-    consultations: u64,
 }
 
 impl PortfolioSelector {
@@ -45,14 +87,11 @@ impl PortfolioSelector {
     /// # Panics
     /// Panics when `candidates` is empty.
     pub fn new(candidates: Vec<SchedulerConfig>, objective: Objective, seed: u64) -> Self {
-        assert!(!candidates.is_empty(), "portfolio needs at least one candidate");
         PortfolioSelector {
-            candidates,
+            portfolio: Portfolio::new(candidates),
             objective,
-            lookahead: SimTime::from_secs(24 * 3600),
             seed,
             decisions: Vec::new(),
-            consultations: 0,
         }
     }
 
@@ -62,19 +101,38 @@ impl PortfolioSelector {
         &self.decisions
     }
 
-    /// How many times the scheduler consulted this selector.
-    pub fn consultations(&self) -> u64 {
-        self.consultations
-    }
-
-    /// The candidate list.
-    pub fn candidates(&self) -> &[SchedulerConfig] {
-        &self.candidates
+    /// Forward-simulates the `(demand_left, request)` queue under every
+    /// candidate on an idle clone of `cluster`, logs the winner at `now`,
+    /// and returns it.
+    pub fn select(
+        &mut self,
+        now: SimTime,
+        queued: &[(f64, ResourceVector)],
+        cluster: &Cluster,
+    ) -> SchedulerConfig {
+        // Re-materialize the queue as an immediate bag of tasks.
+        let job_id = JobId(u64::MAX);
+        let jobs = vec![Job {
+            id: job_id,
+            user: UserId(0),
+            kind: JobKind::BagOfTasks,
+            submit: SimTime::ZERO,
+            tasks: queued
+                .iter()
+                .enumerate()
+                .map(|(i, (demand, req))| {
+                    Task::independent(TaskId(i as u64), job_id, *demand, *req)
+                })
+                .collect(),
+        }];
+        let best = self.portfolio.best(|&c| self.evaluate(idle_clone(cluster), c, jobs.clone()));
+        self.decisions.push((now, best));
+        self.portfolio.candidates()[best]
     }
 
     fn evaluate(&self, cluster: Cluster, config: SchedulerConfig, jobs: Vec<Job>) -> f64 {
         let mut sim = ClusterScheduler::new(cluster, config, self.seed ^ 0xF0F0);
-        let out = sim.run(jobs, self.lookahead);
+        let out = sim.run(jobs, LOOKAHEAD);
         match self.objective {
             Objective::Makespan => {
                 if out.unfinished > 0 {
@@ -107,55 +165,17 @@ fn idle_clone(cluster: &Cluster) -> Cluster {
     c
 }
 
-impl PolicySelector for PortfolioSelector {
-    fn select(&mut self, view: &SchedulerView<'_>) -> SchedulerConfig {
-        self.consultations += 1;
-        if view.queued.is_empty() {
-            // Nothing to optimize; keep the current configuration.
-            return view.current;
-        }
-        // Re-materialize the queue as an immediate bag of tasks.
-        let job_id = JobId(u64::MAX);
-        let jobs = vec![Job {
-            id: job_id,
-            user: UserId(0),
-            kind: JobKind::BagOfTasks,
-            submit: SimTime::ZERO,
-            tasks: view
-                .queued
-                .iter()
-                .enumerate()
-                .map(|(i, (demand, req))| {
-                    Task::independent(TaskId(i as u64), job_id, *demand, *req)
-                })
-                .collect(),
-        }];
-        let mut best = 0usize;
-        let mut best_score = f64::INFINITY;
-        for (i, cand) in self.candidates.iter().enumerate() {
-            let score = self.evaluate(idle_clone(view.cluster), *cand, jobs.clone());
-            if score < best_score {
-                best_score = score;
-                best = i;
-            }
-        }
-        self.decisions.push((view.now, best));
-        self.candidates[best]
-    }
-}
-
 /// A portfolio of the standard policy corners: FCFS+backfill/best-fit (the
 /// grid default), SJF/worst-fit (interactive), LJF/best-fit (throughput),
 /// and FCFS/fastest-first (heterogeneity).
 pub fn default_portfolio() -> Vec<SchedulerConfig> {
     use crate::allocation::AllocationPolicy as A;
     use crate::scheduler::QueuePolicy as Q;
-    let base = SchedulerConfig::default();
     vec![
-        SchedulerConfig { queue: Q::Fcfs, allocation: A::BestFit, backfill: true, ..base },
-        SchedulerConfig { queue: Q::Sjf, allocation: A::WorstFit, backfill: false, ..base },
-        SchedulerConfig { queue: Q::Ljf, allocation: A::BestFit, backfill: true, ..base },
-        SchedulerConfig { queue: Q::Fcfs, allocation: A::FastestFirst, backfill: true, ..base },
+        SchedulerConfig { queue: Q::Fcfs, allocation: A::BestFit, backfill: true },
+        SchedulerConfig { queue: Q::Sjf, allocation: A::WorstFit, backfill: false },
+        SchedulerConfig { queue: Q::Ljf, allocation: A::BestFit, backfill: true },
+        SchedulerConfig { queue: Q::Fcfs, allocation: A::FastestFirst, backfill: true },
     ]
 }
 
@@ -197,6 +217,19 @@ mod tests {
     }
 
     #[test]
+    fn best_takes_the_first_strictly_lowest_prediction() {
+        let p = Portfolio::new(vec![3.0, 1.0, 1.0, 2.0]);
+        let mut seen = Vec::new();
+        let best = p.best(|&c| {
+            seen.push(c);
+            c
+        });
+        assert_eq!(best, 1, "a tie goes to the lowest index");
+        assert_eq!(seen, [3.0, 1.0, 1.0, 2.0], "one prediction per candidate, in order");
+        assert_eq!(p.best(|_| f64::INFINITY), 0);
+    }
+
+    #[test]
     #[should_panic(expected = "at least one candidate")]
     fn empty_portfolio_rejected() {
         let _ = PortfolioSelector::new(vec![], Objective::Makespan, 1);
@@ -217,7 +250,6 @@ mod tests {
             SimDuration::from_secs(60),
         );
         assert_eq!(out.unfinished, 0);
-        assert!(selector.consultations() > 0, "selector should have been consulted");
     }
 
     #[test]

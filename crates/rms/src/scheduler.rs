@@ -18,12 +18,12 @@
 
 use crate::allocation::AllocationPolicy;
 use crate::policy::{QueuedTaskView, SchedulingPolicy};
+use crate::portfolio::PortfolioSelector;
 use mcs_failure::model::Outage;
 use mcs_infra::cluster::Cluster;
 use mcs_infra::machine::MachineId;
 use mcs_infra::resource::ResourceVector;
 use mcs_simcore::engine::{Actor, Context, MessageEnvelope, Simulation};
-use mcs_simcore::error::McsError;
 use mcs_simcore::metrics::TimeWeighted;
 use mcs_simcore::resilience::RestartConfig;
 use mcs_simcore::rng::RngStream;
@@ -66,7 +66,7 @@ impl QueuePolicy {
 }
 
 /// Scheduler configuration: one point in the policy space.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SchedulerConfig {
     /// Queue discipline.
     pub queue: QueuePolicy,
@@ -75,9 +75,6 @@ pub struct SchedulerConfig {
     /// EASY backfilling: tasks behind a blocked queue head may run early if
     /// (clairvoyantly) they finish before the head's earliest start.
     pub backfill: bool,
-    /// Fraction of work preserved when a task is killed by a failure and
-    /// requeued (0 = restart from scratch, 1 = perfect checkpointing).
-    pub checkpoint_factor: f64,
 }
 
 impl Default for SchedulerConfig {
@@ -86,33 +83,7 @@ impl Default for SchedulerConfig {
             queue: QueuePolicy::Fcfs,
             allocation: AllocationPolicy::BestFit,
             backfill: true,
-            checkpoint_factor: 0.0,
         }
-    }
-}
-
-impl SchedulerConfig {
-    /// Validates the configuration, rejecting a `checkpoint_factor` outside
-    /// `[0, 1]` (a fraction of preserved work; anything else is nonsense).
-    pub fn validate(self) -> Result<Self, McsError> {
-        if self.checkpoint_factor.is_nan() || !(0.0..=1.0).contains(&self.checkpoint_factor) {
-            return Err(McsError::Config(format!(
-                "checkpoint_factor must be in [0, 1], got {}",
-                self.checkpoint_factor
-            )));
-        }
-        Ok(self)
-    }
-}
-
-/// Forces `checkpoint_factor` into `[0, 1]` (NaN becomes 0), the constructor
-/// counterpart of [`SchedulerConfig::validate`] for callers that prefer
-/// clamping to failing.
-fn sanitize_checkpoint(factor: f64) -> f64 {
-    if factor.is_nan() {
-        0.0
-    } else {
-        factor.clamp(0.0, 1.0)
     }
 }
 
@@ -204,36 +175,13 @@ pub enum RmsMsg {
     MachineFail(u32),
     /// Machine `m` comes back.
     MachineRepair(u32),
-    /// Consult the [`PolicySelector`] and adopt its configuration.
+    /// Consult the [`PortfolioSelector`] and adopt its configuration.
     PolicyTick,
     /// Apply the next entry of the sorted outage schedule.
     NextOutage,
     /// A checkpoint-restart backoff elapsed: the killed task re-enters the
     /// queue now (only under [`SchedulerActor::with_restart`]).
     Requeue(usize),
-}
-
-/// A read-only snapshot handed to a [`PolicySelector`] at each decision tick.
-#[derive(Debug)]
-pub struct SchedulerView<'a> {
-    /// Current virtual time.
-    pub now: SimTime,
-    /// `(demand_left, request)` of every queued-but-not-running task.
-    pub queued: Vec<(f64, ResourceVector)>,
-    /// The cluster, with live allocation state.
-    pub cluster: &'a Cluster,
-    /// Number of running tasks.
-    pub running: usize,
-    /// The configuration currently in force.
-    pub current: SchedulerConfig,
-}
-
-/// Chooses the scheduler configuration at runtime (the paper's portfolio
-/// scheduling, C6 approach iv: keep a portfolio of policies and switch to
-/// whichever currently serves the workload best).
-pub trait PolicySelector {
-    /// Returns the configuration to use until the next tick.
-    fn select(&mut self, view: &SchedulerView<'_>) -> SchedulerConfig;
 }
 
 #[derive(Debug, Clone)]
@@ -316,11 +264,8 @@ pub struct ClusterScheduler {
 }
 
 impl ClusterScheduler {
-    /// Creates a scheduler over a cluster. Out-of-range `checkpoint_factor`
-    /// values are clamped into `[0, 1]`; use [`SchedulerConfig::validate`]
-    /// to reject them instead.
-    pub fn new(cluster: Cluster, mut config: SchedulerConfig, seed: u64) -> Self {
-        config.checkpoint_factor = sanitize_checkpoint(config.checkpoint_factor);
+    /// Creates a scheduler over a cluster.
+    pub fn new(cluster: Cluster, config: SchedulerConfig, seed: u64) -> Self {
         ClusterScheduler {
             cluster,
             config,
@@ -360,18 +305,7 @@ impl ClusterScheduler {
     /// [`SchedulerActor`] (with the outage schedule self-applied) and runs
     /// it to quiescence.
     pub fn run(&mut self, jobs: Vec<Job>, horizon: SimTime) -> ScheduleOutcome {
-        let seed = self.seed;
-        let outages = self.outages.clone();
-        let mut actor = SchedulerActor::new(
-            &mut self.cluster,
-            &mut self.config,
-            &mut self.rng,
-            jobs,
-            horizon,
-        )
-        .with_outages(outages);
-        run_single(seed, horizon, &mut actor);
-        actor.outcome()
+        self.run_single(jobs, horizon, None)
     }
 
     /// Like [`ClusterScheduler::run`], but consults `selector` every
@@ -381,32 +315,32 @@ impl ClusterScheduler {
         &mut self,
         jobs: Vec<Job>,
         horizon: SimTime,
-        selector: &mut dyn PolicySelector,
+        selector: &mut PortfolioSelector,
         interval: SimDuration,
     ) -> ScheduleOutcome {
-        let seed = self.seed;
-        let outages = self.outages.clone();
-        let mut actor = SchedulerActor::new(
-            &mut self.cluster,
-            &mut self.config,
-            &mut self.rng,
-            jobs,
-            horizon,
-        )
-        .with_outages(outages)
-        .with_selector(selector, interval);
-        run_single(seed, horizon, &mut actor);
+        self.run_single(jobs, horizon, Some((selector, interval)))
+    }
+
+    /// Drives the actor, with the outage schedule self-applied, through a
+    /// dedicated single-actor simulation.
+    fn run_single(
+        &mut self,
+        jobs: Vec<Job>,
+        horizon: SimTime,
+        selector: Option<(&mut PortfolioSelector, SimDuration)>,
+    ) -> ScheduleOutcome {
+        let mut actor =
+            SchedulerActor::new(&mut self.cluster, &mut self.config, &mut self.rng, jobs, horizon)
+                .with_outages(self.outages.clone());
+        actor.selector = selector;
+        let mut sim: Simulation<'_, RmsMsg> = Simulation::new(self.seed);
+        sim.set_horizon(horizon);
+        let id = sim.add_actor(&mut actor);
+        sim.schedule(SimTime::ZERO, id, RmsMsg::Start);
+        sim.run();
+        drop(sim);
         actor.outcome()
     }
-}
-
-/// Drives one borrowed actor through a dedicated single-actor simulation.
-fn run_single(seed: u64, horizon: SimTime, actor: &mut SchedulerActor<'_>) {
-    let mut sim: Simulation<'_, RmsMsg> = Simulation::new(seed);
-    sim.set_horizon(horizon);
-    let id = sim.add_actor(actor);
-    sim.schedule(SimTime::ZERO, id, RmsMsg::Start);
-    sim.run();
 }
 
 /// The scheduler as a simulation actor.
@@ -429,7 +363,7 @@ pub struct SchedulerActor<'a, M = RmsMsg> {
     rng: &'a mut RngStream,
     jobs: Vec<Job>,
     horizon: SimTime,
-    selector: Option<(&'a mut dyn PolicySelector, SimDuration)>,
+    selector: Option<(&'a mut PortfolioSelector, SimDuration)>,
     // Outage schedule, pre-sorted by start time; `next_outage` is the cursor
     // so each `NextOutage` event applies one entry and arms the next,
     // keeping the event queue small regardless of schedule length.
@@ -447,6 +381,8 @@ pub struct SchedulerActor<'a, M = RmsMsg> {
     deadline_misses: usize,
     rejected: HashSet<usize>,
     restart: Option<RestartConfig>,
+    /// Fraction of progress a killed task keeps; 0 without restart.
+    checkpoint_factor: f64,
     restart_attempts: Vec<u32>,
     checkpoint_hook: Option<CheckpointHook<'a, M>>,
     abandoned: HashSet<usize>,
@@ -501,7 +437,6 @@ impl<'a, M: MessageEnvelope<RmsMsg>> SchedulerActor<'a, M> {
             }
         }
         compute_upward_ranks(&mut flat);
-        config.checkpoint_factor = sanitize_checkpoint(config.checkpoint_factor);
         let generation = vec![0; flat.len()];
         let restart_attempts = vec![0; flat.len()];
         let core_capacity = cluster.capacity().cpu_cores.max(1e-9);
@@ -526,6 +461,7 @@ impl<'a, M: MessageEnvelope<RmsMsg>> SchedulerActor<'a, M> {
             deadline_misses: 0,
             rejected: HashSet::new(),
             restart: None,
+            checkpoint_factor: 0.0,
             restart_attempts,
             checkpoint_hook: None,
             abandoned: HashSet::new(),
@@ -552,7 +488,9 @@ impl<'a, M: MessageEnvelope<RmsMsg>> SchedulerActor<'a, M> {
     /// progress, and is abandoned once the attempt budget is spent.
     #[must_use]
     pub fn with_restart(mut self, restart: RestartConfig) -> Self {
-        self.config.checkpoint_factor = sanitize_checkpoint(restart.checkpoint_factor);
+        // `RestartConfig` arrives unvalidated: clamp into [0, 1], NaN to 0.
+        let factor = restart.checkpoint_factor;
+        self.checkpoint_factor = if factor.is_nan() { 0.0 } else { factor.clamp(0.0, 1.0) };
         self.restart = Some(restart);
         self
     }
@@ -573,7 +511,7 @@ impl<'a, M: MessageEnvelope<RmsMsg>> SchedulerActor<'a, M> {
     /// Consults `selector` every `interval` of virtual time.
     pub fn with_selector(
         mut self,
-        selector: &'a mut dyn PolicySelector,
+        selector: &'a mut PortfolioSelector,
         interval: SimDuration,
     ) -> Self {
         self.selector = Some((selector, interval));
@@ -741,7 +679,7 @@ impl<'a, M: MessageEnvelope<RmsMsg>> SchedulerActor<'a, M> {
                     self.generation[ti] += 1;
                     // Keep checkpointed progress; the rest is wasted work.
                     let elapsed_core_secs = (now - rt.started).as_secs_f64() * rt.req.cpu_cores;
-                    let progressed = elapsed_core_secs * self.config.checkpoint_factor;
+                    let progressed = elapsed_core_secs * self.checkpoint_factor;
                     lost_core_secs += elapsed_core_secs - progressed;
                     self.flat[ti].demand_left = (self.flat[ti].demand_left - progressed).max(0.01);
                     match self.restart {
@@ -849,26 +787,18 @@ impl<'a, M: MessageEnvelope<RmsMsg>> SchedulerActor<'a, M> {
     fn on_policy_tick(&mut self, ctx: &mut Context<'_, M>) {
         let now = ctx.now();
         let Some((selector, interval)) = &mut self.selector else { return };
-        let view = SchedulerView {
-            now,
-            queued: self
+        // An empty queue leaves nothing to optimize: keep the configuration.
+        if !self.queue.is_empty() {
+            let queued: Vec<(f64, ResourceVector)> = self
                 .queue
                 .iter()
                 .map(|p| (self.flat[p.task_idx].demand_left, self.flat[p.task_idx].req))
-                .collect(),
-            cluster: self.cluster,
-            running: self.running.len(),
-            current: *self.config,
-        };
-        // A tick adopts the policy axes only: checkpointing belongs to the
-        // restart configuration, and every portfolio candidate carries 0.0.
-        let new_config = SchedulerConfig {
-            checkpoint_factor: self.config.checkpoint_factor,
-            ..selector.select(&view)
-        };
-        if new_config != *self.config {
-            *self.config = new_config;
-            self.queue_dirty = true;
+                .collect();
+            let new_config = selector.select(now, &queued, self.cluster);
+            if new_config != *self.config {
+                *self.config = new_config;
+                self.queue_dirty = true;
+            }
         }
         ctx.emit_fields(
             "rms",
@@ -1203,12 +1133,8 @@ mod tests {
             fail_at: SimTime::from_secs(5),
             repair_at: SimTime::from_secs(6),
         };
-        let mut sched = ClusterScheduler::new(
-            cluster(1, 4.0),
-            SchedulerConfig { checkpoint_factor: 0.0, ..Default::default() },
-            1,
-        )
-        .with_outages(vec![outage]);
+        let mut sched = ClusterScheduler::new(cluster(1, 4.0), SchedulerConfig::default(), 1)
+            .with_outages(vec![outage]);
         let out = sched.run(vec![bag(0, 0, &[(40.0, 4.0)])], SimTime::from_secs(10_000));
         assert_eq!(out.failure_requeues, 1);
         assert_eq!(out.unfinished, 0);
@@ -1217,90 +1143,47 @@ mod tests {
     }
 
     #[test]
-    fn checkpointing_preserves_progress() {
-        let outage = Outage {
-            machine: 0,
-            fail_at: SimTime::from_secs(5),
-            repair_at: SimTime::from_secs(6),
-        };
-        let mut sched = ClusterScheduler::new(
-            cluster(1, 4.0),
-            SchedulerConfig { checkpoint_factor: 1.0, ..Default::default() },
-            1,
-        )
-        .with_outages(vec![outage]);
-        let out = sched.run(vec![bag(0, 0, &[(40.0, 4.0)])], SimTime::from_secs(10_000));
-        // 5 s of work done, 5 s left, resumes at 6: finishes at 11.
-        assert_eq!(out.makespan, SimDuration::from_secs(11));
-    }
-
-    #[test]
-    fn checkpoint_factor_is_validated_and_clamped() {
-        // validate(): errors outside [0, 1], passes inside.
-        for bad in [-0.1, 1.5, f64::NAN] {
-            let cfg = SchedulerConfig { checkpoint_factor: bad, ..Default::default() };
-            assert!(cfg.validate().is_err(), "checkpoint_factor {bad} must be rejected");
-        }
-        for ok in [0.0, 0.5, 1.0] {
-            let cfg = SchedulerConfig { checkpoint_factor: ok, ..Default::default() };
-            assert_eq!(cfg.validate().unwrap().checkpoint_factor, ok);
-        }
-        // Constructors clamp: factor 5.0 behaves exactly like 1.0 (perfect
-        // checkpointing finishes at 11 s, see checkpointing_preserves_progress).
-        let outage = Outage {
-            machine: 0,
-            fail_at: SimTime::from_secs(5),
-            repair_at: SimTime::from_secs(6),
-        };
-        let mut sched = ClusterScheduler::new(
-            cluster(1, 4.0),
-            SchedulerConfig { checkpoint_factor: 5.0, ..Default::default() },
-            1,
-        )
-        .with_outages(vec![outage]);
-        let out = sched.run(vec![bag(0, 0, &[(40.0, 4.0)])], SimTime::from_secs(10_000));
-        assert_eq!(out.makespan, SimDuration::from_secs(11));
-    }
-
-    #[test]
     fn restart_requeues_after_backoff_not_instantly() {
         use mcs_simcore::resilience::{Backoff, RetryPolicy};
 
-        let outage = Outage {
-            machine: 0,
-            fail_at: SimTime::from_secs(5),
-            repair_at: SimTime::from_secs(6),
-        };
-        let restart = RestartConfig {
-            backoff: RetryPolicy {
-                backoff: Backoff::Fixed(SimDuration::from_secs(10)),
-                max_attempts: 4,
-            },
-            checkpoint_factor: 1.0,
-        };
-        let mut cl = cluster(1, 4.0);
-        let mut cfg = SchedulerConfig::default();
-        let mut rng = RngStream::new(1, "scheduler");
-        let horizon = SimTime::from_secs(10_000);
-        let mut actor =
-            SchedulerActor::new(&mut cl, &mut cfg, &mut rng, vec![bag(0, 0, &[(40.0, 4.0)])], horizon)
+        // Factor 5.0 is clamped to 1.0, perfect checkpointing.
+        for checkpoint_factor in [1.0, 5.0] {
+            let outage = Outage {
+                machine: 0,
+                fail_at: SimTime::from_secs(5),
+                repair_at: SimTime::from_secs(6),
+            };
+            let restart = RestartConfig {
+                backoff: RetryPolicy {
+                    backoff: Backoff::Fixed(SimDuration::from_secs(10)),
+                    max_attempts: 4,
+                },
+                checkpoint_factor,
+            };
+            let mut cl = cluster(1, 4.0);
+            let mut cfg = SchedulerConfig::default();
+            let mut rng = RngStream::new(1, "scheduler");
+            let horizon = SimTime::from_secs(10_000);
+            let jobs = vec![bag(0, 0, &[(40.0, 4.0)])];
+            let mut actor = SchedulerActor::new(&mut cl, &mut cfg, &mut rng, jobs, horizon)
                 .with_outages(vec![outage])
                 .with_restart(restart);
-        let mut sim: Simulation<'_, RmsMsg> = Simulation::new(1);
-        sim.set_horizon(horizon);
-        let id = sim.add_actor(&mut actor);
-        sim.schedule(SimTime::ZERO, id, RmsMsg::Start);
-        sim.run();
-        assert_eq!(sim.trace().count("rms", "requeue_scheduled"), 1);
-        assert_eq!(sim.trace().count("rms", "checkpoint_restore"), 1);
-        drop(sim);
-        let out = actor.outcome();
-        // Killed at 5 s with 5 s of work left (perfect checkpoint); the
-        // requeue lands at 5 + 10 = 15 s, so the task finishes at 20 s —
-        // not 11 s as with the instant requeue.
-        assert_eq!(out.makespan, SimDuration::from_secs(20));
-        assert_eq!(out.failure_requeues, 1);
-        assert_eq!(out.abandoned, 0);
+            let mut sim: Simulation<'_, RmsMsg> = Simulation::new(1);
+            sim.set_horizon(horizon);
+            let id = sim.add_actor(&mut actor);
+            sim.schedule(SimTime::ZERO, id, RmsMsg::Start);
+            sim.run();
+            assert_eq!(sim.trace().count("rms", "requeue_scheduled"), 1);
+            assert_eq!(sim.trace().count("rms", "checkpoint_restore"), 1);
+            drop(sim);
+            let out = actor.outcome();
+            // Killed at 5 s with 5 s of work left (perfect checkpoint); the
+            // requeue lands at 5 + 10 = 15 s, so the task finishes at 20 s —
+            // not 11 s as with an instant requeue.
+            assert_eq!(out.makespan, SimDuration::from_secs(20), "factor {checkpoint_factor}");
+            assert_eq!(out.failure_requeues, 1);
+            assert_eq!(out.abandoned, 0);
+        }
     }
 
     #[test]
@@ -1441,7 +1324,6 @@ mod tests {
         assert_eq!(actor.outcome().unfinished, 0);
         drop(actor);
         assert!(selector.decisions().len() > 100);
-        assert_eq!(cfg.checkpoint_factor, RestartConfig::default().checkpoint_factor);
     }
 
     #[test]

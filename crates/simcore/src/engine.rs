@@ -343,12 +343,6 @@ impl<'a, M> Simulation<'a, M> {
         Ok(EventToken(seq))
     }
 
-    /// Schedules `msg` for `target` after `delay` from now.
-    pub fn schedule_after(&mut self, delay: SimDuration, target: ActorId, msg: M) -> EventToken {
-        let at = self.now + delay;
-        self.schedule(at, target, msg)
-    }
-
     /// Revokes a pending event; a no-op if it was already delivered or
     /// cancelled.
     pub fn cancel(&mut self, token: EventToken) {

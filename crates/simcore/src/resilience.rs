@@ -88,8 +88,9 @@ impl RetryPolicy {
         Some(match self.backoff {
             Backoff::Fixed(d) => d,
             Backoff::Exponential { base, cap } => {
+                // Saturate: a large base times 2^30 overflows u64 nanos.
                 let factor = 1u64 << (failures - 1).min(30);
-                (base * factor).min(cap)
+                SimDuration::from_nanos(base.as_nanos().saturating_mul(factor)).min(cap)
             }
             Backoff::DecorrelatedJitter { base, cap } => {
                 let mut d = base;
@@ -339,7 +340,7 @@ pub struct RestartConfig {
     /// often one task may be restarted before it is abandoned.
     pub backoff: RetryPolicy,
     /// Fraction of completed work preserved across the restart, in `[0, 1]`
-    /// (maps onto `SchedulerConfig::checkpoint_factor`).
+    /// (out-of-range values are clamped, NaN keeps nothing).
     pub checkpoint_factor: f64,
 }
 
@@ -448,6 +449,17 @@ mod tests {
             .map(|n| p.delay_after(n, &mut rng).unwrap().as_secs_f64() as u64)
             .collect();
         assert_eq!(delays, vec![1, 2, 4, 5, 5]);
+    }
+
+    #[test]
+    fn exponential_backoff_saturates_at_the_cap_instead_of_overflowing() {
+        // 30 s * 2^30 overflows u64 nanoseconds.
+        let p = RetryPolicy {
+            backoff: Backoff::Exponential { base: secs(30), cap: secs(600) },
+            max_attempts: 64,
+        };
+        let mut rng = RngStream::new(1, "exp");
+        assert_eq!(p.delay_after(31, &mut rng), Some(secs(600)));
     }
 
     #[test]

@@ -25,8 +25,8 @@ fn grid_day_with_correlated_failures_completes() {
 
     let outages = SpaceCorrelatedFailures::with_mtbf(50.0 * 3600.0, machines as usize, 8)
         .generate(machines as usize, horizon, &mut RngStream::new(42, "fs-fail"));
-    let config = SchedulerConfig { checkpoint_factor: 0.5, ..Default::default() };
-    let mut sched = ClusterScheduler::new(cluster, config, 42).with_outages(outages);
+    let mut sched =
+        ClusterScheduler::new(cluster, SchedulerConfig::default(), 42).with_outages(outages);
     let out = sched.run(jobs, SimTime::from_secs(30 * 86_400));
 
     assert_eq!(out.unfinished, 0, "all feasible tasks must finish");
