@@ -31,18 +31,26 @@ fn run(seed: u64) -> ScenarioOutcome {
 }
 
 /// Virtual minutes of big-data shuffle pressure, from paired
-/// `shuffle_start`/`shuffle_end` records.
-fn shuffle_minutes(trace: &TraceBus) -> f64 {
+/// `shuffle_start`/`shuffle_end` records. `None` on a streaming bus, which
+/// keeps no event times to pair.
+fn shuffle_minutes(trace: &TraceBus) -> Option<f64> {
+    if trace.is_streaming() {
+        return None;
+    }
     let starts = trace.select("bigdata", "shuffle_start");
     let ends = trace.select("bigdata", "shuffle_end");
     let open: f64 = starts.iter().map(|e| e.at.as_secs_f64()).sum();
     let close: f64 = ends.iter().map(|e| e.at.as_secs_f64()).sum();
-    (close - open).max(0.0) / 60.0
+    Some((close - open).max(0.0) / 60.0)
 }
 
 /// Graph supersteps that started inside a shuffle-pressure window vs
-/// outside, with the straggler count for each population.
-fn straggler_split(trace: &TraceBus) -> (usize, usize, usize, usize) {
+/// outside, with the straggler count for each population. `None` on a
+/// streaming bus, which keeps no event times to place supersteps by.
+fn straggler_split(trace: &TraceBus) -> Option<(usize, usize, usize, usize)> {
+    if trace.is_streaming() {
+        return None;
+    }
     // Reconstruct the pressure windows the graph actor saw from its own
     // `pressure` records (windows > 0 means under pressure).
     let mut windows: Vec<(f64, bool)> = trace
@@ -65,7 +73,18 @@ fn straggler_split(trace: &TraceBus) -> (usize, usize, usize, usize) {
             outside_straggler += usize::from(straggler);
         }
     }
-    (inside, inside_straggler, outside, outside_straggler)
+    Some((inside, inside_straggler, outside, outside_straggler))
+}
+
+/// Renders a trace-derived figure, or says that a streaming bus cannot
+/// give it rather than printing a silent zero.
+fn or_streaming(value: Option<String>) -> String {
+    value.unwrap_or_else(|| "n/a (streaming trace)".to_owned())
+}
+
+/// Stragglers per superstep of one population, at least one superstep.
+fn rate(stragglers: usize, supersteps: usize) -> String {
+    f(stragglers as f64 / supersteps.max(1) as f64, 3)
 }
 
 impl Experiment for EcosystemFull {
@@ -96,9 +115,7 @@ impl Experiment for EcosystemFull {
 
         // Cross-tenant interference: the channel that only exists because
         // all tenants share one simulation and one fleet.
-        let (inside, inside_straggler, outside, outside_straggler) = straggler_split(&out.trace);
-        let inside_rate = inside_straggler as f64 / (inside.max(1)) as f64;
-        let outside_rate = outside_straggler as f64 / (outside.max(1)) as f64;
+        let split = straggler_split(&out.trace);
         report = report.with_section(
             Section::new("cross-tenant interference (bigdata shuffle vs co-tenants)")
                 .table(
@@ -106,19 +123,19 @@ impl Experiment for EcosystemFull {
                     vec![
                         vec![
                             "shuffle pressure minutes".to_owned(),
-                            f(shuffle_minutes(&out.trace), 1),
+                            or_streaming(shuffle_minutes(&out.trace).map(|m| f(m, 1))),
                         ],
                         vec![
                             "graph supersteps under pressure".to_owned(),
-                            inside.to_string(),
+                            or_streaming(split.map(|(inside, ..)| inside.to_string())),
                         ],
                         vec![
                             "straggler rate under pressure".to_owned(),
-                            f(inside_rate, 3),
+                            or_streaming(split.map(|(ins, ins_s, ..)| rate(ins_s, ins))),
                         ],
                         vec![
                             "straggler rate outside pressure".to_owned(),
-                            f(outside_rate, 3),
+                            or_streaming(split.map(|(.., outs, outs_s)| rate(outs_s, outs))),
                         ],
                         vec![
                             "gaming pressure windows".to_owned(),
@@ -143,13 +160,13 @@ impl Experiment for EcosystemFull {
         let seeds: Vec<u64> = (0..4).map(|i| seed.wrapping_add(i)).collect();
         let rows: Vec<Vec<String>> = par::run_seeds(&seeds, |s| {
             let o = run(s);
-            let (ins, ins_s, outs, outs_s) = straggler_split(&o.trace);
+            let split = straggler_split(&o.trace);
             vec![
                 s.to_string(),
                 o.bigdata_jobs.to_string(),
                 o.graph_queries.to_string(),
-                f(ins_s as f64 / ins.max(1) as f64, 3),
-                f(outs_s as f64 / outs.max(1) as f64, 3),
+                or_streaming(split.map(|(ins, ins_s, ..)| rate(ins_s, ins))),
+                or_streaming(split.map(|(.., outs, outs_s)| rate(outs_s, outs))),
                 o.gaming_admitted.to_string(),
                 o.gaming_disconnected.to_string(),
             ]
@@ -174,5 +191,35 @@ impl Experiment for EcosystemFull {
                     f(config(seed).horizon.as_secs_f64() / 3600.0, 1),
                 )),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mcs::simcore::trace::{Field, StreamConfig};
+
+    #[test]
+    fn event_time_rows_are_none_on_a_streaming_bus() {
+        let mut full = TraceBus::new();
+        let mut stream = TraceBus::streaming(StreamConfig::default());
+        for bus in [&mut full, &mut stream] {
+            bus.record_fields(SimTime::from_secs(60), "bigdata", "shuffle_start", &[]);
+            bus.record_fields(SimTime::from_secs(180), "bigdata", "shuffle_end", &[]);
+            let windows = [("windows", Field::U64(1))];
+            bus.record_fields(SimTime::from_secs(60), "graph", "pressure", &windows);
+            bus.record_fields(
+                SimTime::from_secs(90),
+                "graph",
+                "superstep_start",
+                &[("slowdown", Field::F64(1.5))],
+            );
+            bus.record_fields(SimTime::from_secs(30), "graph", "superstep_start", &[]);
+        }
+        assert_eq!(shuffle_minutes(&full), Some(2.0));
+        assert_eq!(straggler_split(&full), Some((1, 1, 1, 0)));
+        assert_eq!(shuffle_minutes(&stream), None);
+        assert_eq!(straggler_split(&stream), None);
+        assert_eq!(or_streaming(None), "n/a (streaming trace)");
     }
 }

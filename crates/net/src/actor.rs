@@ -16,7 +16,7 @@
 //! the right actor — bigdata map/shuffle barriers, FaaS invocation
 //! payloads, RMS checkpoint restores, gaming state sync.
 
-use crate::flow::max_min_rates;
+use crate::flow::MaxMin;
 use crate::topology::{LinkId, NetTopology};
 use mcs_simcore::engine::{Actor, Context, EventToken, MessageEnvelope};
 use mcs_simcore::time::{SimDuration, SimTime};
@@ -179,6 +179,10 @@ struct ActiveFlow {
 /// The flow-level network model as a simulation actor.
 pub struct NetActor<'a, M = NetMsg> {
     topo: NetTopology,
+    /// `topo.effective_capacities()`, refreshed by `apply_fault`, the only
+    /// place the topology changes.
+    capacities: Vec<f64>,
+    solver: MaxMin,
     flows: Vec<ActiveFlow>,
     /// Flows that drained their bytes and are riding out propagation latency.
     in_delivery: Vec<(u64, FlowDone)>,
@@ -198,7 +202,9 @@ impl<'a, M: MessageEnvelope<NetMsg>> NetActor<'a, M> {
     /// Creates a network actor over `topo` with no completion hook.
     pub fn new(topo: NetTopology) -> Self {
         NetActor {
+            capacities: topo.effective_capacities(),
             topo,
+            solver: MaxMin::default(),
             flows: Vec::new(),
             in_delivery: Vec::new(),
             next_id: 0,
@@ -325,12 +331,11 @@ impl<'a, M: MessageEnvelope<NetMsg>> NetActor<'a, M> {
         if self.flows.is_empty() {
             return;
         }
-        let caps = self.topo.effective_capacities();
-        let paths: Vec<Vec<LinkId>> = self.flows.iter().map(|f| f.links.clone()).collect();
-        let rates = max_min_rates(&paths, &caps);
+        let flows = &self.flows;
+        let rates = self.solver.solve(flows.len(), |i| &flows[i].links, &self.capacities);
         let now = ctx.now();
         let mut earliest = f64::INFINITY;
-        for (f, &rate) in self.flows.iter_mut().zip(&rates) {
+        for (f, &rate) in self.flows.iter_mut().zip(rates) {
             f.rate = rate;
             if rate > 0.0 {
                 f.stalled_since = None;
@@ -506,6 +511,7 @@ impl<'a, M: MessageEnvelope<NetMsg>> NetActor<'a, M> {
                 );
             }
         }
+        self.capacities = self.topo.effective_capacities();
         self.settle(ctx);
     }
 }
@@ -535,7 +541,10 @@ impl<M: MessageEnvelope<NetMsg>> Actor<M> for NetActor<'_, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcs_simcore::check::Check;
     use mcs_simcore::engine::Simulation;
+    use mcs_simcore::prop_assert;
+    use mcs_simcore::rng::RngStream;
 
     fn topo() -> NetTopology {
         NetTopology::new(
@@ -776,5 +785,82 @@ mod tests {
         assert_eq!(actor.in_flight(), 0);
         // Each flow took ~2 s against a ~1 s ideal.
         assert!(actor.stall_secs() > 1.5, "stall = {}", actor.stall_secs());
+    }
+
+    /// A `NetActor` that, after every message it handles, checks its cached
+    /// capacities against the topology and its flows' rates against a fresh
+    /// reference solve over the topology as it now stands.
+    struct Audited<'a> {
+        net: NetActor<'a, NetMsg>,
+        mismatches: Vec<String>,
+        solved: usize,
+    }
+
+    impl Actor<NetMsg> for Audited<'_> {
+        fn handle(&mut self, ctx: &mut Context<'_, NetMsg>, msg: NetMsg) {
+            self.net.handle(ctx, msg);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let caps = self.net.topo.effective_capacities();
+            if bits(&self.net.capacities) != bits(&caps) {
+                let cached = &self.net.capacities;
+                self.mismatches.push(format!("after {msg:?}: capacities {cached:?} vs {caps:?}"));
+            }
+            if self.net.flows.is_empty() {
+                return;
+            }
+            let paths: Vec<Vec<LinkId>> = self.net.flows.iter().map(|f| f.links.clone()).collect();
+            let want = crate::flow::reference_max_min_rates(&paths, &caps);
+            let got: Vec<f64> = self.net.flows.iter().map(|f| f.rate).collect();
+            if bits(&got) != bits(&want) {
+                self.mismatches.push(format!("after {msg:?}: rates {got:?} vs {want:?}"));
+            }
+            self.solved += 1;
+        }
+    }
+
+    #[test]
+    fn cached_capacities_and_reused_solver_match_a_fresh_solve() {
+        Check::new("net_cached_solve").cases(32).run(|rng| {
+            let timeout =
+                rng.bernoulli(0.5).then(|| SimDuration::from_secs(1 + rng.uniform_usize(5) as u64));
+            let mut audited = Audited {
+                net: NetActor::new(topo()).with_flow_timeout(timeout),
+                mismatches: Vec::new(),
+                solved: 0,
+            };
+            let mut sim: Simulation<'_, NetMsg> = Simulation::new(7);
+            let id = sim.add_actor(&mut audited);
+            let nanos = |rng: &mut RngStream, below: usize| rng.uniform_usize(below) as u64;
+            for n in 0..80u64 {
+                let at = SimTime::from_nanos(nanos(rng, 20_000_000_000));
+                let node = rng.uniform_usize(8) as u32;
+                match rng.uniform_usize(8) {
+                    0 => {
+                        let fault = NetFault::Cut { node };
+                        let until = at + SimDuration::from_nanos(nanos(rng, 3_000_000_000));
+                        sim.schedule(at, id, NetMsg::Fault(fault));
+                        sim.schedule(until, id, NetMsg::FaultClear(fault));
+                    }
+                    1 => {
+                        let factors = [0.0, 0.25, 0.5, rng.uniform_f64(0.0, 1.0)];
+                        let factor = factors[rng.uniform_usize(4)];
+                        let fault = NetFault::Degrade { node, factor };
+                        let until = at + SimDuration::from_nanos(nanos(rng, 3_000_000_000));
+                        sim.schedule(at, id, NetMsg::Fault(fault));
+                        sim.schedule(until, id, NetMsg::FaultClear(fault));
+                    }
+                    _ => {
+                        let dst = rng.uniform_usize(8) as u32;
+                        let bytes = 1 + rng.uniform_usize((300.0 * MB) as usize) as u64;
+                        sim.schedule(at, id, NetMsg::Transfer(req(node, dst, bytes, n)));
+                    }
+                }
+            }
+            sim.run();
+            drop(sim);
+            prop_assert!(audited.mismatches.is_empty(), "{}", audited.mismatches.join("\n"));
+            prop_assert!(audited.solved > 0, "no solve was audited");
+            Ok(())
+        });
     }
 }

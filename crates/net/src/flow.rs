@@ -21,8 +21,104 @@ const CAP_EPS: f64 = 1e-9;
 /// link `l`. Flows crossing a zero-capacity (cut) link get rate `0.0`.
 ///
 /// Every flow must cross at least one link; node-local transfers never reach
-/// the allocator.
+/// the allocator. This one-shot form builds a fresh solver per call; the
+/// network actor keeps one that reuses its buffers.
 pub fn max_min_rates(flows: &[Vec<LinkId>], capacity: &[f64]) -> Vec<f64> {
+    MaxMin::default().solve(flows.len(), |i| &flows[i], capacity).to_vec()
+}
+
+/// The max-min solver with its scratch buffers, so that a re-solve after
+/// the first allocates nothing. [`NetActor`](crate::actor::NetActor) keeps
+/// one for its whole run.
+#[derive(Default)]
+pub(crate) struct MaxMin {
+    remaining: Vec<f64>,
+    load: Vec<u32>,
+    frozen: Vec<bool>,
+    rates: Vec<f64>,
+}
+
+impl MaxMin {
+    /// Solves for `n` flows, where `path(i)` is the list of links flow `i`
+    /// crosses, and returns their rates in flow order; see
+    /// [`max_min_rates`] for the contract.
+    pub(crate) fn solve<'p>(
+        &mut self,
+        n: usize,
+        path: impl Fn(usize) -> &'p [LinkId],
+        capacity: &[f64],
+    ) -> &[f64] {
+        self.rates.clear();
+        self.rates.resize(n, 0.0);
+        if n == 0 {
+            return &self.rates;
+        }
+        let (remaining, load, frozen, rates) =
+            (&mut self.remaining, &mut self.load, &mut self.frozen, &mut self.rates);
+        remaining.clear();
+        remaining.extend_from_slice(capacity);
+        load.clear();
+        load.resize(capacity.len(), 0);
+        for i in 0..n {
+            let p = path(i);
+            debug_assert!(!p.is_empty(), "node-local flows must not be allocated");
+            for &l in p {
+                load[l as usize] += 1;
+            }
+        }
+        frozen.clear();
+        frozen.resize(n, false);
+        let mut unfrozen = n;
+
+        while unfrozen > 0 {
+            // The bottleneck: the loaded link offering the smallest fair share.
+            let mut bottleneck = usize::MAX;
+            let mut share = f64::INFINITY;
+            for (l, &c) in load.iter().enumerate() {
+                if c == 0 {
+                    continue;
+                }
+                let s = (remaining[l].max(0.0)) / f64::from(c);
+                if s < share {
+                    share = s;
+                    bottleneck = l;
+                }
+            }
+            if bottleneck == usize::MAX {
+                break; // no loaded links left (all paths drained)
+            }
+            // Freeze every unfrozen flow crossing the bottleneck at `share`
+            // and charge its consumption to every link it touches.
+            for i in 0..n {
+                if frozen[i] {
+                    continue;
+                }
+                let p = path(i);
+                if !p.contains(&(bottleneck as LinkId)) {
+                    continue;
+                }
+                rates[i] = share;
+                frozen[i] = true;
+                unfrozen -= 1;
+                for &l in p {
+                    let li = l as usize;
+                    remaining[li] = (remaining[li] - share).max(0.0);
+                    load[li] -= 1;
+                }
+            }
+            // The bottleneck is exhausted for anyone still crossing it.
+            if remaining[bottleneck] < CAP_EPS {
+                remaining[bottleneck] = 0.0;
+            }
+        }
+        rates
+    }
+}
+
+/// The allocator as it was before [`MaxMin`]: fresh buffers per call and
+/// paths owned by the caller. Tests hold the solver to it bit for bit.
+#[cfg(test)]
+pub(crate) fn reference_max_min_rates(flows: &[Vec<LinkId>], capacity: &[f64]) -> Vec<f64> {
     let mut rates = vec![0.0f64; flows.len()];
     if flows.is_empty() {
         return rates;
@@ -30,16 +126,13 @@ pub fn max_min_rates(flows: &[Vec<LinkId>], capacity: &[f64]) -> Vec<f64> {
     let mut remaining: Vec<f64> = capacity.to_vec();
     let mut load = vec![0u32; capacity.len()];
     for path in flows {
-        debug_assert!(!path.is_empty(), "node-local flows must not be allocated");
         for &l in path {
             load[l as usize] += 1;
         }
     }
     let mut frozen = vec![false; flows.len()];
     let mut unfrozen = flows.len();
-
     while unfrozen > 0 {
-        // The bottleneck: the loaded link offering the smallest fair share.
         let mut bottleneck = usize::MAX;
         let mut share = f64::INFINITY;
         for (l, &n) in load.iter().enumerate() {
@@ -53,10 +146,8 @@ pub fn max_min_rates(flows: &[Vec<LinkId>], capacity: &[f64]) -> Vec<f64> {
             }
         }
         if bottleneck == usize::MAX {
-            break; // no loaded links left (all paths drained)
+            break;
         }
-        // Freeze every unfrozen flow crossing the bottleneck at `share` and
-        // charge its consumption to every link it touches.
         for (i, path) in flows.iter().enumerate() {
             if frozen[i] || !path.contains(&(bottleneck as LinkId)) {
                 continue;
@@ -70,7 +161,6 @@ pub fn max_min_rates(flows: &[Vec<LinkId>], capacity: &[f64]) -> Vec<f64> {
                 load[li] -= 1;
             }
         }
-        // The bottleneck is exhausted for anyone still crossing it.
         if remaining[bottleneck] < CAP_EPS {
             remaining[bottleneck] = 0.0;
         }
@@ -81,6 +171,43 @@ pub fn max_min_rates(flows: &[Vec<LinkId>], capacity: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcs_simcore::check::Check;
+    use mcs_simcore::prop_assert_eq;
+
+    #[test]
+    fn reused_solver_matches_the_reference_bit_for_bit() {
+        // One solver across every case: buffers left over from a larger or
+        // smaller problem must never leak into the next answer.
+        let solver = std::cell::RefCell::new(MaxMin::default());
+        Check::new("max_min_reused_solver").cases(256).run(|rng| {
+            let links = 1 + rng.uniform_usize(12);
+            let caps: Vec<f64> = (0..links)
+                .map(|_| match rng.uniform_usize(6) {
+                    0 => 0.0,
+                    1 => 1e-10,
+                    2 => 50.0,
+                    _ => rng.uniform_f64(1.0, 1e9),
+                })
+                .collect();
+            let flows: Vec<Vec<LinkId>> = (0..rng.uniform_usize(24))
+                .map(|_| {
+                    let mut path: Vec<LinkId> = (0..links as LinkId).collect();
+                    rng.shuffle(&mut path);
+                    path.truncate(1 + rng.uniform_usize(links.min(4)));
+                    path
+                })
+                .collect();
+            let want: Vec<u64> =
+                reference_max_min_rates(&flows, &caps).iter().map(|r| r.to_bits()).collect();
+            let mut solver = solver.borrow_mut();
+            let got = solver.solve(flows.len(), |i| &flows[i], &caps);
+            let got: Vec<u64> = got.iter().map(|r| r.to_bits()).collect();
+            prop_assert_eq!(&got, &want);
+            let once: Vec<u64> = max_min_rates(&flows, &caps).iter().map(|r| r.to_bits()).collect();
+            prop_assert_eq!(&once, &want);
+            Ok(())
+        });
+    }
 
     #[test]
     fn single_flow_gets_path_bottleneck() {

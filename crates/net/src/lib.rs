@@ -12,7 +12,8 @@
 //!   capacity and latency; partitions cut a node's access link, gray
 //!   failures degrade it (both reference-counted).
 //! - [`flow::max_min_rates`] — max-min fair-share bandwidth allocation by
-//!   progressive filling, recomputed on every flow start/finish and fault.
+//!   progressive filling, recomputed on every flow start/finish and fault
+//!   (the actor keeps one solver and reuses its buffers).
 //! - [`actor::NetActor`] — the model as an [`Actor`] on the shared
 //!   [`Simulation`]: tenants send [`actor::NetMsg::Transfer`] requests
 //!   tagged with their identity, and a scenario-installed completion hook

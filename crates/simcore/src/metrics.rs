@@ -8,6 +8,8 @@
 use crate::error::McsError;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceBus;
+use std::cell::RefCell;
+use std::iter::Peekable;
 
 /// Streaming mean/variance/min/max via Welford's algorithm.
 ///
@@ -196,7 +198,7 @@ impl QuantileSketch {
         self.max = self.max.max(x);
         self.buffer.push(x);
         if self.buffer.len() >= self.max_centroids {
-            self.compress();
+            self.compress(std::iter::empty());
         }
     }
 
@@ -232,21 +234,28 @@ impl QuantileSketch {
         self.count += other.count;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        let merged = merge_sorted(
-            &sorted_points(&self.centroids, &self.buffer),
-            &sorted_points(&other.centroids, &other.buffer),
-        );
-        self.centroids = compact(merged, self.count, self.max_centroids);
-        self.buffer.clear();
+        let mut theirs = other.buffer.clone();
+        theirs.sort_unstable_by(f64::total_cmp);
+        self.compress(points(&other.centroids, &theirs));
     }
 
-    /// Folds the buffer into the centroid set.
-    fn compress(&mut self) {
-        if self.buffer.is_empty() {
-            return;
-        }
-        let points = sorted_points(&self.centroids, &self.buffer);
-        self.centroids = compact(points, self.count, self.max_centroids);
+    /// Folds the buffer and the mean-sorted `extra` points into the
+    /// centroid set: sorts the buffer in place, then merges and compacts
+    /// in one pass, leaving the buffer empty.
+    ///
+    /// The pass writes into [`COMPACTED`] and copies back, so a warm sketch
+    /// compresses without allocating. The in-place unstable sort is exact:
+    /// values equal under `total_cmp` have identical bits.
+    fn compress(&mut self, extra: impl Iterator<Item = (f64, u64)>) {
+        self.buffer.sort_unstable_by(f64::total_cmp);
+        COMPACTED.with_borrow_mut(|out| {
+            let ours = points(&self.centroids, &self.buffer);
+            compact_into(out, MergeByMean::new(ours, extra), self.count, self.max_centroids);
+            self.centroids.clear();
+            // The capacity compaction can need, allocated once per sketch.
+            self.centroids.reserve_exact(self.max_centroids + 1);
+            self.centroids.extend_from_slice(out);
+        });
         self.buffer.clear();
     }
 
@@ -265,7 +274,9 @@ impl QuantileSketch {
         let mut anchors: Vec<(f64, f64)> = Vec::with_capacity(self.centroids.len() + 2);
         anchors.push((0.0, self.min));
         let mut cum = 0u64;
-        for (mean, w) in sorted_points(&self.centroids, &self.buffer) {
+        let mut sorted = self.buffer.clone();
+        sorted.sort_unstable_by(f64::total_cmp);
+        for (mean, w) in points(&self.centroids, &sorted) {
             let mid = cum as f64 + (w - 1) as f64 / 2.0;
             if mid > anchors.last().unwrap().0 {
                 anchors.push((mid, mean));
@@ -292,38 +303,68 @@ impl QuantileSketch {
     }
 }
 
-/// All points of a sketch — centroids plus buffered singletons — as one
-/// weight-ordered-by-mean list.
-fn sorted_points(centroids: &[(f64, u64)], buffer: &[f64]) -> Vec<(f64, u64)> {
-    let mut singles: Vec<(f64, u64)> = buffer.iter().map(|&x| (x, 1)).collect();
-    singles.sort_by(|a, b| a.0.total_cmp(&b.0));
-    merge_sorted(centroids, &singles)
+thread_local! {
+    /// The output of one compaction, reused by every sketch on the thread.
+    /// It lives outside [`QuantileSketch`] so the sketch's size, which the
+    /// streaming trace sink's retained-bytes estimate counts, stays fixed.
+    static COMPACTED: RefCell<Vec<(f64, u64)>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Merges two mean-sorted point lists into one.
-fn merge_sorted(a: &[(f64, u64)], b: &[(f64, u64)]) -> Vec<(f64, u64)> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i].0 <= b[j].0 {
-            out.push(a[i]);
-            i += 1;
+/// All points of a sketch — centroids plus buffered singletons — in mean
+/// order. `sorted_buffer` must be sorted by `total_cmp`.
+fn points<'a>(
+    centroids: &'a [(f64, u64)],
+    sorted_buffer: &'a [f64],
+) -> MergeByMean<impl Iterator<Item = (f64, u64)> + 'a, impl Iterator<Item = (f64, u64)> + 'a> {
+    MergeByMean::new(centroids.iter().copied(), sorted_buffer.iter().map(|&x| (x, 1)))
+}
+
+/// Merges two mean-sorted point streams into one, taking from `a` while
+/// its head's mean is `<=` the head of `b`.
+struct MergeByMean<A: Iterator<Item = (f64, u64)>, B: Iterator<Item = (f64, u64)>> {
+    a: Peekable<A>,
+    b: Peekable<B>,
+}
+
+impl<A: Iterator<Item = (f64, u64)>, B: Iterator<Item = (f64, u64)>> MergeByMean<A, B> {
+    fn new(a: A, b: B) -> Self {
+        MergeByMean { a: a.peekable(), b: b.peekable() }
+    }
+}
+
+impl<A, B> Iterator for MergeByMean<A, B>
+where
+    A: Iterator<Item = (f64, u64)>,
+    B: Iterator<Item = (f64, u64)>,
+{
+    type Item = (f64, u64);
+
+    fn next(&mut self) -> Option<(f64, u64)> {
+        let take_a = match (self.a.peek(), self.b.peek()) {
+            (Some(a), Some(b)) => a.0 <= b.0,
+            (Some(_), None) => true,
+            (None, _) => false,
+        };
+        if take_a {
+            self.a.next()
         } else {
-            out.push(b[j]);
-            j += 1;
+            self.b.next()
         }
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
-/// Greedy left-to-right compaction under a per-centroid weight cap of
-/// `ceil(2·count / max_centroids)`. Any two adjacent output centroids exceed
-/// the cap together, so at most `max_centroids + 1` centroids survive.
-fn compact(points: Vec<(f64, u64)>, count: u64, max_centroids: usize) -> Vec<(f64, u64)> {
+/// Greedy left-to-right compaction of mean-sorted `points` into `out` under
+/// a per-centroid weight cap of `ceil(2·count / max_centroids)`. Any two
+/// adjacent output centroids exceed the cap together, so at most
+/// `max_centroids + 1` centroids survive.
+fn compact_into(
+    out: &mut Vec<(f64, u64)>,
+    points: impl Iterator<Item = (f64, u64)>,
+    count: u64,
+    max_centroids: usize,
+) {
     let cap = (2 * count).div_ceil(max_centroids as u64).max(1);
-    let mut out: Vec<(f64, u64)> = Vec::with_capacity(max_centroids + 1);
+    out.clear();
     for (mean, w) in points {
         if let Some(last) = out.last_mut() {
             if last.1 + w <= cap {
@@ -335,7 +376,6 @@ fn compact(points: Vec<(f64, u64)>, count: u64, max_centroids: usize) -> Vec<(f6
         }
         out.push((mean, w));
     }
-    out
 }
 
 /// A complete distribution summary of a sample set, as reported in the
@@ -584,6 +624,9 @@ pub fn trace_gauge(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::Check;
+    use crate::rng::RngStream;
+    use crate::{prop_assert, prop_assert_eq};
 
     #[test]
     fn online_stats_hand_example() {
@@ -721,6 +764,170 @@ mod tests {
         }
         let back: QuantileSketch = from_str(&to_string(&s)).unwrap();
         assert_eq!(back, s);
+    }
+
+    /// The sketch's compaction as it was before it worked in place: sort a
+    /// copy of the buffer, merge into a new list, compact into a third. The
+    /// property below holds the in-place path to it bit for bit.
+    mod oracle {
+        use super::QuantileSketch;
+
+        /// All points of a sketch as one mean-sorted list.
+        pub fn sorted_points(centroids: &[(f64, u64)], buffer: &[f64]) -> Vec<(f64, u64)> {
+            let mut singles: Vec<(f64, u64)> = buffer.iter().map(|&x| (x, 1)).collect();
+            singles.sort_by(|a, b| a.0.total_cmp(&b.0));
+            merge_sorted(centroids, &singles)
+        }
+
+        /// Merges two mean-sorted point lists into one.
+        fn merge_sorted(a: &[(f64, u64)], b: &[(f64, u64)]) -> Vec<(f64, u64)> {
+            let mut out = Vec::with_capacity(a.len() + b.len());
+            let (mut i, mut j) = (0, 0);
+            while i < a.len() && j < b.len() {
+                if a[i].0 <= b[j].0 {
+                    out.push(a[i]);
+                    i += 1;
+                } else {
+                    out.push(b[j]);
+                    j += 1;
+                }
+            }
+            out.extend_from_slice(&a[i..]);
+            out.extend_from_slice(&b[j..]);
+            out
+        }
+
+        /// Greedy compaction under a weight cap of `ceil(2·count / max)`.
+        fn compact(points: Vec<(f64, u64)>, count: u64, max_centroids: usize) -> Vec<(f64, u64)> {
+            let cap = (2 * count).div_ceil(max_centroids as u64).max(1);
+            let mut out: Vec<(f64, u64)> = Vec::with_capacity(max_centroids + 1);
+            for (mean, w) in points {
+                if let Some(last) = out.last_mut() {
+                    if last.1 + w <= cap {
+                        let total = last.1 + w;
+                        last.0 = (last.0 * last.1 as f64 + mean * w as f64) / total as f64;
+                        last.1 = total;
+                        continue;
+                    }
+                }
+                out.push((mean, w));
+            }
+            out
+        }
+
+        pub fn record(s: &mut QuantileSketch, x: f64) {
+            if !x.is_finite() {
+                return;
+            }
+            s.count += 1;
+            s.min = s.min.min(x);
+            s.max = s.max.max(x);
+            s.buffer.push(x);
+            if s.buffer.len() >= s.max_centroids {
+                let points = sorted_points(&s.centroids, &s.buffer);
+                s.centroids = compact(points, s.count, s.max_centroids);
+                s.buffer.clear();
+            }
+        }
+
+        pub fn merge(s: &mut QuantileSketch, other: &QuantileSketch) {
+            if other.count == 0 {
+                return;
+            }
+            s.count += other.count;
+            s.min = s.min.min(other.min);
+            s.max = s.max.max(other.max);
+            let merged = merge_sorted(
+                &sorted_points(&s.centroids, &s.buffer),
+                &sorted_points(&other.centroids, &other.buffer),
+            );
+            s.centroids = compact(merged, s.count, s.max_centroids);
+            s.buffer.clear();
+        }
+    }
+
+    /// Bit-level equality of two sketches' whole state.
+    fn same_state(got: &QuantileSketch, want: &QuantileSketch) -> Result<(), String> {
+        let pair_bits =
+            |a: &(f64, u64), b: &(f64, u64)| a.0.to_bits() == b.0.to_bits() && a.1 == b.1;
+        prop_assert!(
+            got.centroids.len() == want.centroids.len()
+                && got.centroids.iter().zip(&want.centroids).all(|(a, b)| pair_bits(a, b)),
+            "centroids {:?} vs {:?}",
+            got.centroids,
+            want.centroids
+        );
+        prop_assert!(
+            got.buffer.len() == want.buffer.len()
+                && got.buffer.iter().zip(&want.buffer).all(|(a, b)| a.to_bits() == b.to_bits()),
+            "buffer {:?} vs {:?}",
+            got.buffer,
+            want.buffer
+        );
+        prop_assert_eq!(got.count, want.count);
+        prop_assert_eq!(got.min.to_bits(), want.min.to_bits());
+        prop_assert_eq!(got.max.to_bits(), want.max.to_bits());
+        Ok(())
+    }
+
+    /// Bit-level equality of the mean-order point stream `quantile` walks
+    /// and of the quantiles it reads off.
+    fn same_reads(got: &QuantileSketch, want: &QuantileSketch) -> Result<(), String> {
+        let bits = |v: &[(f64, u64)]| v.iter().map(|&(m, w)| (m.to_bits(), w)).collect::<Vec<_>>();
+        let mut sorted = got.buffer.clone();
+        sorted.sort_unstable_by(f64::total_cmp);
+        let walked: Vec<(f64, u64)> = points(&got.centroids, &sorted).collect();
+        prop_assert_eq!(bits(&walked), bits(&oracle::sorted_points(&want.centroids, &want.buffer)));
+        for q in [0.0, 0.01, 0.25, 0.5, 0.9, 0.999, 1.0] {
+            prop_assert_eq!(got.quantile(q).map(f64::to_bits), want.quantile(q).map(f64::to_bits));
+        }
+        Ok(())
+    }
+
+    /// A stream value: mostly spread reals, with duplicates, signed zeros,
+    /// non-finite values and magnitudes whose weighted means overflow.
+    fn draw(rng: &mut RngStream) -> f64 {
+        match rng.uniform_usize(10) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.uniform_usize(3)],
+            3 | 4 => [1.0, 2.5, -3.0, 1e-300][rng.uniform_usize(4)],
+            5 => rng.uniform_f64(-1.0, 1.0) * f64::MAX,
+            _ => rng.uniform_f64(-1e3, 1e3),
+        }
+    }
+
+    #[test]
+    fn in_place_compaction_matches_the_oracle_bit_for_bit() {
+        Check::new("sketch_in_place_compaction").cases(32).run(|rng| {
+            let n = 1 + rng.uniform_usize(4);
+            let budgets: Vec<usize> = (0..n).map(|_| 8 + rng.uniform_usize(249)).collect();
+            let mut got: Vec<QuantileSketch> =
+                budgets.iter().map(|&b| QuantileSketch::new(b)).collect();
+            let mut want = got.clone();
+            for step in 0..2000 {
+                let i = rng.uniform_usize(n);
+                let merging = rng.bernoulli(0.005);
+                if merging {
+                    let j = rng.uniform_usize(n);
+                    let (other, other_want) = (got[j].clone(), want[j].clone());
+                    got[i].merge(&other);
+                    oracle::merge(&mut want[i], &other_want);
+                } else {
+                    let x = draw(rng);
+                    got[i].record(x);
+                    oracle::record(&mut want[i], x);
+                }
+                same_state(&got[i], &want[i])?;
+                if merging || step % 128 == 0 {
+                    same_reads(&got[i], &want[i])?;
+                }
+            }
+            for (g, w) in got.iter().zip(&want) {
+                same_reads(g, w)?;
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -208,16 +208,17 @@ impl Rollup {
         Rollup { count: 0, first_at: at, last_at: at, fields: Vec::new(), windows: Vec::new() }
     }
 
-    fn field_mut(&mut self, key: Symbol, sketch_centroids: usize) -> &mut FieldAgg {
+    /// The index of `key`'s aggregate, appending a fresh one on first sight.
+    fn field_index(&mut self, key: Symbol, sketch_centroids: usize) -> usize {
         if let Some(i) = self.fields.iter().position(|f| f.key == key) {
-            return &mut self.fields[i];
+            return i;
         }
         self.fields.push(FieldAgg {
             key,
             stats: OnlineStats::new(),
             sketch: QuantileSketch::new(sketch_centroids),
         });
-        self.fields.last_mut().expect("just pushed")
+        self.fields.len() - 1
     }
 
     fn field(&self, key: Symbol) -> Option<&FieldAgg> {
@@ -264,6 +265,12 @@ impl StreamingSink {
     }
 
     /// Folds one record's field slice — no JSON object is ever built.
+    ///
+    /// An emitter sends the same keys in the same order every time, so the
+    /// `n`-th numeric field of a record is usually the rollup's `n`-th
+    /// aggregate: that one is tried first, by name, and only a miss pays
+    /// for interning the key and scanning. A hit's key is already interned,
+    /// so symbols are still issued in first-seen order.
     fn fold_fields(
         &mut self,
         at: SimTime,
@@ -274,10 +281,15 @@ impl StreamingSink {
     ) {
         let centroids = self.config.sketch_centroids;
         let rollup = self.touch(at, component, event);
+        let mut hint = 0;
         for &(key, value) in fields {
             let Some(x) = value.fold_f64() else { continue };
-            let key = interner.intern(key);
-            let agg = rollup.field_mut(key, centroids);
+            let i = match rollup.fields.get(hint) {
+                Some(agg) if interner.resolve(agg.key) == key => hint,
+                _ => rollup.field_index(interner.intern(key), centroids),
+            };
+            hint += 1;
+            let agg = &mut rollup.fields[i];
             agg.stats.record(x);
             agg.sketch.record(x);
         }
@@ -771,6 +783,8 @@ fn json_heap_bytes(value: &Json) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::Check;
+    use crate::{prop_assert, prop_assert_eq};
 
     fn bus() -> TraceBus {
         let mut b = TraceBus::new();
@@ -1027,5 +1041,99 @@ mod tests {
         assert!(bus.counts().is_empty());
         drive(&mut bus);
         assert_eq!(bus.count("faas", "invoke"), 500);
+    }
+
+    /// The streaming fold as it was before position lookup: intern every
+    /// numeric field's key, then scan the rollup for it.
+    fn record_by_interning(
+        bus: &mut TraceBus,
+        at: SimTime,
+        component: &str,
+        event: &str,
+        fields: &[(&'static str, Field<'_>)],
+    ) {
+        let component = bus.interner.intern(component);
+        let event = bus.interner.intern(event);
+        let Sink::Streaming(sink) = &mut bus.sink else { panic!("streaming bus expected") };
+        let centroids = sink.config.sketch_centroids;
+        let rollup = sink.touch(at, component, event);
+        for &(key, value) in fields {
+            let Some(x) = value.fold_f64() else { continue };
+            let i = rollup.field_index(bus.interner.intern(key), centroids);
+            rollup.fields[i].stats.record(x);
+            rollup.fields[i].sketch.record(x);
+        }
+    }
+
+    #[test]
+    fn position_lookup_folds_like_per_key_interning() {
+        const KEYS: [&str; 5] = ["id", "bytes", "secs", "owner", "late"];
+        const PAIRS: [(&str, &str); 3] =
+            [("net", "flow_end"), ("net", "flow_start"), ("faas", "invoke")];
+        // Fixed shapes first, so every miss kind happens whatever the draw:
+        // a Str between numbers, a non-finite first sighting, a key that
+        // first appears later, and the same keys reordered.
+        let nan = f64::NAN;
+        let fixed: [&[(&'static str, Field<'static>)]; 5] = [
+            &[("id", Field::U64(1)), ("owner", Field::Str("faas")), ("bytes", Field::U64(10))],
+            &[("id", Field::U64(2)), ("secs", Field::F64(nan)), ("bytes", Field::U64(20))],
+            &[("id", Field::U64(3)), ("secs", Field::F64(0.5)), ("bytes", Field::U64(30))],
+            &[("late", Field::I64(-4)), ("bytes", Field::U64(40)), ("id", Field::U64(4))],
+            &[("bytes", Field::U64(50)), ("id", Field::U64(5)), ("secs", Field::F64(0.25))],
+        ];
+        Check::new("trace_position_lookup").cases(48).run(|rng| {
+            let config = StreamConfig { sketch_centroids: 8 + rng.uniform_usize(24), window: None };
+            let mut got = TraceBus::streaming(config.clone());
+            let mut want = TraceBus::streaming(config);
+            for (n, shape) in fixed.iter().enumerate() {
+                let at = SimTime::from_secs(n as u64);
+                got.record_fields(at, "net", "flow_end", shape);
+                record_by_interning(&mut want, at, "net", "flow_end", shape);
+            }
+            for n in 0..400u64 {
+                let (component, event) = PAIRS[rng.uniform_usize(PAIRS.len())];
+                let mut keys = KEYS;
+                if rng.bernoulli(0.2) {
+                    rng.shuffle(&mut keys);
+                }
+                let len =
+                    if rng.bernoulli(0.7) { KEYS.len() } else { rng.uniform_usize(KEYS.len() + 1) };
+                let fields: Vec<(&'static str, Field<'static>)> = keys[..len]
+                    .iter()
+                    .map(|&k| {
+                        let v = match rng.uniform_usize(8) {
+                            0 => Field::Str("s"),
+                            1 => Field::Bool(true),
+                            2 => Field::F64([nan, f64::INFINITY][rng.uniform_usize(2)]),
+                            3 => Field::I64(-(rng.uniform_usize(100) as i64)),
+                            4 => Field::U64(rng.next_u64() >> 40),
+                            _ => Field::F64(rng.uniform_f64(-1e3, 1e3)),
+                        };
+                        (k, v)
+                    })
+                    .collect();
+                let at = SimTime::from_secs(10 + n);
+                got.record_fields(at, component, event, &fields);
+                record_by_interning(&mut want, at, component, event, &fields);
+            }
+            prop_assert!(got.interner == want.interner, "interner order differs");
+            prop_assert_eq!(got.approx_retained_bytes(), want.approx_retained_bytes());
+            for (component, event) in PAIRS {
+                for key in KEYS {
+                    prop_assert_eq!(
+                        got.field_stats(component, event, key),
+                        want.field_stats(component, event, key)
+                    );
+                    for q in [0.0, 0.3, 0.5, 0.99, 1.0] {
+                        prop_assert_eq!(
+                            got.field_quantile(component, event, key, q).map(f64::to_bits),
+                            want.field_quantile(component, event, key, q).map(f64::to_bits)
+                        );
+                    }
+                }
+            }
+            prop_assert!(got == want, "sink state differs");
+            Ok(())
+        });
     }
 }

@@ -47,23 +47,29 @@ done
 # default-config trace (the same composition scenario_golden.rs pins).
 "./target/release/chaos_sweep" --check-invariants
 
-# Benchmark smoke run: a 1-second composed_batch run must finish correct
-# with no failed reps, and `--compare` of its result against itself must
+# Benchmark smoke runs: a 1-second run of composed_batch (the golden
+# full-trace composition) and of fabric_stress (the only workload on both
+# the streaming trace sink and the network fabric) must each finish correct
+# with no failed reps, and `--compare` of each result against itself must
 # judge no workload worse (the benchmark's regression verdict).
 bench=(cargo run -q --release --offline --manifest-path benchmark/Cargo.toml --)
-"${bench[@]}" --workload composed_batch --seconds 1 --json "$tmpdir/bench.json" \
-    > "$tmpdir/bench.txt"
-summary="$(tail -n 1 "$tmpdir/bench.txt")"
-if [[ "$summary" != *'"correct":true'* || "$summary" != *'"failed":0,'* ]]; then
-    echo "verify: FAIL — benchmark smoke run: $summary" >&2
-    exit 1
-fi
-"${bench[@]}" --compare "$tmpdir/bench.json" "$tmpdir/bench.json" > "$tmpdir/compare.txt"
-cat "$tmpdir/compare.txt"
-if ! grep -q '^composed_batch ' "$tmpdir/compare.txt" || grep -qw 'worse' "$tmpdir/compare.txt"; then
-    echo "verify: FAIL — benchmark --compare of the smoke run against itself" >&2
-    exit 1
-fi
+for workload in composed_batch fabric_stress; do
+    "${bench[@]}" --workload "$workload" --seconds 1 --json "$tmpdir/$workload.json" \
+        > "$tmpdir/$workload.txt"
+    summary="$(tail -n 1 "$tmpdir/$workload.txt")"
+    if [[ "$summary" != *'"correct":true'* || "$summary" != *'"failed":0,'* ]]; then
+        echo "verify: FAIL — $workload benchmark smoke run: $summary" >&2
+        exit 1
+    fi
+    "${bench[@]}" --compare "$tmpdir/$workload.json" "$tmpdir/$workload.json" \
+        > "$tmpdir/$workload.compare.txt"
+    cat "$tmpdir/$workload.compare.txt"
+    if ! grep -q "^$workload " "$tmpdir/$workload.compare.txt" \
+        || grep -qw 'worse' "$tmpdir/$workload.compare.txt"; then
+        echo "verify: FAIL — benchmark --compare of the $workload smoke run against itself" >&2
+        exit 1
+    fi
+done
 
 # Allow-lint gate: no crate source carries a new `#[allow]` escape (the BSP
 # stepper carries the single pre-existing `too_many_arguments` exception).
@@ -75,4 +81,4 @@ if [ "$allow_count" -gt "$allow_budget" ]; then
     exit 1
 fi
 
-echo "verify: OK (offline build + tests + clippy + rustdoc + benchmark tests + example smoke runs + par-aware determinism diffs + 9 report snapshots + invariant gate + benchmark smoke + self-compare + allow-lint budget)"
+echo "verify: OK (offline build + tests + clippy + rustdoc + benchmark tests + example smoke runs + par-aware determinism diffs + 9 report snapshots + invariant gate + composed_batch and fabric_stress benchmark smoke + self-compare + allow-lint budget)"
