@@ -10,6 +10,35 @@ use std::time::Instant;
 /// Figure 4 as an [`Experiment`].
 pub struct Fig4GamingEcosystem;
 
+/// One simulated patch day (a x3 flash crowd for 2 h) under each of the
+/// figure's three zone provisionings, in row order.
+fn virtual_world(seed: u64) -> Vec<(&'static str, WorldOutcome)> {
+    let model = PlayerModel {
+        base_rate: 0.8,
+        amplitude: 0.6,
+        period: SimDuration::from_hours(24),
+        flash: Some((SimTime::from_secs(6 * 3600), SimDuration::from_hours(2), 3.0)),
+    };
+    let day = SimTime::from_secs(86_400);
+    [
+        ("static-small", ZoneProvisioning::Static { zones: 12 }),
+        ("static-peak", ZoneProvisioning::Static { zones: 80 }),
+        (
+            "elastic",
+            ZoneProvisioning::Elastic {
+                min_zones: 4,
+                max_zones: 80,
+                high_watermark: 0.8,
+                low_watermark: 0.3,
+                boot_delay: SimDuration::from_secs(90),
+            },
+        ),
+    ]
+    .into_iter()
+    .map(|(name, prov)| (name, simulate_world(&model, prov, 100, day, seed)))
+    .collect()
+}
+
 impl Experiment for Fig4GamingEcosystem {
     fn name(&self) -> &'static str {
         "fig4_gaming_ecosystem"
@@ -21,38 +50,19 @@ impl Experiment for Fig4GamingEcosystem {
 
         // Virtual World: the §6.3 claim — elastic hosting admits the flash
         // crowd at a fraction of the static peak cost.
-        let model = PlayerModel {
-            base_rate: 0.8,
-            amplitude: 0.6,
-            period: SimDuration::from_hours(24),
-            flash: Some((SimTime::from_secs(6 * 3600), SimDuration::from_hours(2), 3.0)),
-        };
-        let day = SimTime::from_secs(86_400);
-        let mut rows = Vec::new();
-        for (name, prov) in [
-            ("static-small", ZoneProvisioning::Static { zones: 12 }),
-            ("static-peak", ZoneProvisioning::Static { zones: 80 }),
-            (
-                "elastic",
-                ZoneProvisioning::Elastic {
-                    min_zones: 4,
-                    max_zones: 80,
-                    high_watermark: 0.8,
-                    low_watermark: 0.3,
-                    boot_delay: SimDuration::from_secs(90),
-                },
-            ),
-        ] {
-            let out = simulate_world(&model, prov, 100, day, seed);
-            rows.push(vec![
-                name.into(),
-                out.admitted.to_string(),
-                out.rejected.to_string(),
-                f(out.rejection_rate * 100.0, 2),
-                f(out.peak_concurrent, 0),
-                f(out.zone_hours, 0),
-            ]);
-        }
+        let rows = virtual_world(seed)
+            .into_iter()
+            .map(|(name, out)| {
+                vec![
+                    name.into(),
+                    out.admitted.to_string(),
+                    out.rejected.to_string(),
+                    f(out.rejection_rate * 100.0, 2),
+                    f(out.peak_concurrent, 0),
+                    f(out.zone_hours, 0),
+                ]
+            })
+            .collect();
         report = report.with_section(
             Section::new("Virtual World: patch-day flash crowd (x3 for 2 h)").table(
                 &["provisioning", "admitted", "rejected", "reject-%", "peak-online", "zone-hours"],
@@ -132,5 +142,38 @@ impl Experiment for Fig4GamingEcosystem {
                      yield harder (but always solvable) content.",
                 ),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Pins the seed-42 Virtual World rows exactly (f64 included), so a
+    /// change of world model must reproduce them bit for bit.
+    #[test]
+    fn virtual_world_rows_are_pinned_at_seed_42() {
+        let rows = virtual_world(42);
+        let pinned: [(&str, u64, u64, f64, f64); 3] = [
+            ("static-small", 49_159, 38_060, 1200.0, 288.0),
+            ("static-peak", 87_190, 0, 6919.0, 1920.0),
+            ("elastic", 87_323, 5, 6946.0, 983.838_155_885_622_7),
+        ];
+        assert_eq!(rows.len(), pinned.len());
+        for ((name, out), (want_name, admitted, rejected, peak, zone_hours)) in
+            rows.iter().zip(pinned)
+        {
+            assert_eq!(*name, want_name);
+            assert_eq!(
+                (out.admitted, out.rejected, out.peak_concurrent, out.zone_hours),
+                (admitted, rejected, peak, zone_hours),
+                "{name}: {out:?}"
+            );
+        }
+        // The figure's claim: elastic turns fewer players away than the
+        // small static deployment, at fewer zone-hours than the peak one.
+        let (small, peak, elastic) = (&rows[0].1, &rows[1].1, &rows[2].1);
+        assert!(elastic.rejected < small.rejected, "{elastic:?} vs {small:?}");
+        assert!(elastic.zone_hours < peak.zone_hours, "{elastic:?} vs {peak:?}");
     }
 }
