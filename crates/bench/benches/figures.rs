@@ -75,17 +75,12 @@ fn main() {
     });
 
     // Figure 4: a virtual-world day and a PCG batch.
-    let model = PlayerModel { base_rate: 0.3, ..Default::default() };
+    let world = GamingConfig {
+        players: PlayerModel { base_rate: 0.3, ..Default::default() },
+        provisioning: ZoneProvisioning::Static { zones: 10 },
+    };
     h.bench("fig4/world_day_static", |b| {
-        b.iter(|| {
-            black_box(simulate_world(
-                &model,
-                ZoneProvisioning::Static { zones: 10 },
-                100,
-                SimTime::from_secs(86_400),
-                4,
-            ))
-        })
+        b.iter(|| black_box(simulate_world(&world, SimTime::from_secs(86_400), 4)))
     });
     h.bench("fig4/pcg_10_instances", |b| {
         let generator = PuzzleGenerator { side: 3, scramble_moves: 20 };

@@ -226,8 +226,10 @@ impl Experiment for ChaosSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcs::chaos::campaign::scripted_config;
     use mcs::chaos::{check_all, InvariantCx};
-    use mcs::core::scenario::Scenario;
+    use mcs::core::scenario::{ObservabilityConfig, Scenario};
+    use mcs::simcore::error::McsError;
 
     #[test]
     fn campaign_runs_clean_and_catches_the_seeded_violation_at_seed_42() {
@@ -257,5 +259,27 @@ mod tests {
         let outcome = Scenario::new(cfg).run();
         let violations = check_all(&outcome.trace, &cx);
         assert!(violations.is_empty(), "default-config violations: {violations:?}");
+    }
+
+    /// The seeded violation's base on the streaming trace sink, which
+    /// retains no records for the invariants to read.
+    fn streaming_violation_base(seed: u64) -> ScenarioConfig {
+        violation_base(seed).with_observability(ObservabilityConfig::default())
+    }
+
+    #[test]
+    #[should_panic(expected = "full-retention trace")]
+    fn check_all_refuses_a_streaming_trace() {
+        let cfg = scripted_config(&streaming_violation_base(42), &violation_schedule(), 42)
+            .expect("violation schedule is valid by construction");
+        let cx = InvariantCx::from_config(&cfg);
+        let outcome = Scenario::new(cfg).run();
+        check_all(&outcome.trace, &cx);
+    }
+
+    #[test]
+    fn run_one_refuses_a_streaming_config() {
+        let result = run_one(&streaming_violation_base(42), &violation_schedule(), 42);
+        assert!(matches!(result, Err(McsError::Config(_))), "{result:?}");
     }
 }

@@ -35,7 +35,10 @@ fn virtual_world(seed: u64) -> Vec<(&'static str, WorldOutcome)> {
         ),
     ]
     .into_iter()
-    .map(|(name, prov)| (name, simulate_world(&model, prov, 100, day, seed)))
+    .map(|(name, provisioning)| {
+        let config = GamingConfig { players: model.clone(), provisioning };
+        (name, simulate_world(&config, day, seed))
+    })
     .collect()
 }
 

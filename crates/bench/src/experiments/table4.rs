@@ -65,19 +65,17 @@ impl Experiment for Table4UseCases {
                 flash: Some((SimTime::from_secs(6 * 3600), SimDuration::from_hours(2), 3.0)),
                 ..Default::default()
             };
-            let out = simulate_world(
-                &model,
-                ZoneProvisioning::Elastic {
+            let config = GamingConfig {
+                players: model,
+                provisioning: ZoneProvisioning::Elastic {
                     min_zones: 4,
                     max_zones: 80,
                     high_watermark: 0.8,
                     low_watermark: 0.3,
                     boot_delay: SimDuration::from_secs(90),
                 },
-                100,
-                SimTime::from_secs(86_400),
-                seed,
-            );
+            };
+            let out = simulate_world(&config, SimTime::from_secs(86_400), seed);
             rows.push(vec![
                 "§6.3 gaming".into(),
                 format!("reject {:.2}%", out.rejection_rate * 100.0),

@@ -68,12 +68,19 @@ pub struct RunResult {
 /// Runs one scripted scenario and checks the invariant suite over its trace.
 ///
 /// The `schedule_index` of the returned result is `0`; the campaign grid
-/// overwrites it with the cell's position.
+/// overwrites it with the cell's position. A base with `observability` set
+/// is a configuration error: the checks read retained records, which a
+/// streaming trace does not keep.
 pub fn run_one(
     base: &ScenarioConfig,
     schedule: &FaultSchedule,
     seed: u64,
 ) -> Result<RunResult, McsError> {
+    if base.observability.is_some() {
+        return Err(McsError::Config(
+            "chaos runs need a full-retention trace; unset observability".into(),
+        ));
+    }
     let cfg = scripted_config(base, schedule, seed)?;
     let cx = InvariantCx::from_config(&cfg);
     let outcome = Scenario::try_new(cfg)?.run();

@@ -148,7 +148,15 @@ pub fn builtin_suite() -> Vec<Box<dyn Invariant>> {
 }
 
 /// Runs the whole built-in suite, concatenating violations in suite order.
+///
+/// # Panics
+/// Panics on a streaming trace: every invariant reads retained records, so
+/// a streaming bus would read as clean whatever the run did.
 pub fn check_all(trace: &TraceBus, cx: &InvariantCx) -> Vec<Violation> {
+    assert!(
+        !trace.is_streaming(),
+        "check_all needs a full-retention trace; a streaming bus retains no records to check"
+    );
     builtin_suite().iter().flat_map(|inv| inv.check(trace, cx)).collect()
 }
 

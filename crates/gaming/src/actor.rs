@@ -3,12 +3,13 @@
 //! [`WorldActor`] puts the Figure 4 Virtual World function on the engine:
 //! players join over a diurnal [`Diurnal`] process (armed online, one
 //! pending event at a time), hold a session, and leave; zone instances are
-//! provisioned statically or elastically exactly as in
-//! [`simulate_world`](crate::world::simulate_world). What the engine
-//! version adds is *ecosystem membership*: machine failures fanned in from
-//! a scenario-level injector kill zone instances (disconnecting overflow
-//! players), and co-tenant network pressure (a big-data shuffle window,
-//! via [`GamingMsg::Pressure`]) shrinks effective zone capacity. Contiguous
+//! provisioned statically or elastically. It is the only virtual-world
+//! model: [`simulate_world`](crate::world::simulate_world) runs it
+//! standalone and reduces its trace. Inside a scenario it is also an
+//! *ecosystem member*: machine failures fanned in from a scenario-level
+//! injector kill zone instances (disconnecting overflow players), and
+//! co-tenant network pressure (a big-data shuffle window, via
+//! [`GamingMsg::Pressure`]) shrinks effective zone capacity. Contiguous
 //! intervals where occupancy sits above the overload watermark are traced
 //! as `overload_start`/`overload_end` pairs, so the zone-overload-minutes
 //! metric is computed from traces alone.
@@ -255,9 +256,9 @@ impl<'a, M: MessageEnvelope<GamingMsg>> WorldActor<'a, M> {
             ctx.emit_fields("gaming", "reject", &[("online", Field::U64(self.online))]);
         }
 
-        // Elastic control loop, evaluated at every join (mirrors the legacy
-        // fluid implementation). Failed zones count against occupancy, so
-        // failures push the controller toward compensating capacity.
+        // Elastic control loop, evaluated at every join. Failed zones count
+        // against occupancy, so failures push the controller toward
+        // compensating capacity.
         let occupancy = self.online as f64 / (self.available_zones() * ZONE_CAPACITY).max(1) as f64;
         if occupancy > self.high && self.zones + self.booting < self.max_zones {
             self.booting += 1;
@@ -420,7 +421,13 @@ pub fn run_gaming_standalone(
     seed: u64,
     horizon: SimTime,
 ) -> TraceBus {
-    let mut actor = WorldActor::new(config.clone(), horizon, RngStream::new(seed, "gaming"));
+    run_world(config, horizon, seed, "gaming")
+}
+
+/// Runs one [`WorldActor`] alone over `[0, horizon)`, drawing from the RNG
+/// stream `label`, and returns its trace.
+pub(crate) fn run_world(config: &GamingConfig, horizon: SimTime, seed: u64, label: &str) -> TraceBus {
+    let mut actor = WorldActor::new(config.clone(), horizon, RngStream::new(seed, label));
     let mut sim: Simulation<'_, GamingMsg> = Simulation::new(seed);
     sim.set_horizon(horizon);
     let id = sim.add_actor(&mut actor);

@@ -5,14 +5,17 @@
 //! static deployment rejects overflow, while an elastic deployment
 //! (§6.3: "can elastically scale with the ups and downs of active players")
 //! spins up zone instances with a provisioning delay.
+//!
+//! The model runs as [`WorldActor`](crate::actor::WorldActor) on the
+//! engine; this module holds its parameters and [`WorldOutcome`], the
+//! reduction of a standalone run's trace.
 
+use crate::actor::{run_world, GamingConfig};
 use mcs_simcore::dist::{Dist, Sample};
 use mcs_simcore::metrics::TimeWeighted;
 use mcs_simcore::rng::RngStream;
 use mcs_simcore::time::{SimDuration, SimTime};
-use mcs_workload::arrival::{ArrivalProcess, Diurnal};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use mcs_simcore::trace::TraceBus;
 
 /// Deployment model of the virtual world.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,139 +82,89 @@ pub struct WorldOutcome {
     pub rejected: u64,
     /// Rejection fraction.
     pub rejection_rate: f64,
-    /// Time-average concurrent players.
-    pub mean_concurrent: f64,
     /// Peak concurrent players.
     pub peak_concurrent: f64,
-    /// Time-average zone instances.
-    pub mean_zones: f64,
     /// Zone-instance-hours used (cost proxy).
     pub zone_hours: f64,
 }
 
-/// Simulates the virtual world over `[0, horizon)`.
-pub fn simulate_world(
-    model: &PlayerModel,
-    provisioning: ZoneProvisioning,
-    zone_capacity: usize,
-    horizon: SimTime,
-    seed: u64,
-) -> WorldOutcome {
-    let mut rng = RngStream::new(seed, "virtual-world");
-    let mut arrivals = Diurnal {
-        base_rate: model.base_rate,
-        amplitude: model.amplitude,
-        period: model.period,
-        flash: model.flash,
-    };
+impl WorldOutcome {
+    /// Reduces the trace of a standalone [`WorldActor`] run over
+    /// `[0, horizon)` in one ordered pass. The zone level starts at
+    /// `provisioning`'s initial zone count and steps on every `zone_up` and
+    /// `zone_down`, in emission order, so a same-instant pair keeps its
+    /// order.
+    ///
+    /// # Panics
+    /// Panics on a streaming trace, which retains no records to reduce.
+    ///
+    /// [`WorldActor`]: crate::actor::WorldActor
+    pub fn from_trace(trace: &TraceBus, provisioning: ZoneProvisioning, horizon: SimTime) -> Self {
+        assert!(
+            !trace.is_streaming(),
+            "WorldOutcome::from_trace needs a full-retention trace; a streaming bus retains no records"
+        );
+        let initial_zones = match provisioning {
+            ZoneProvisioning::Static { zones } => zones,
+            ZoneProvisioning::Elastic { min_zones, .. } => min_zones,
+        };
+        let symbol = |name: &str| trace.interner().lookup(name);
+        let gaming = symbol("gaming");
+        let [join, reject, zone_up, zone_down] =
+            ["join", "reject", "zone_up", "zone_down"].map(symbol);
 
-    let (mut zones, min_zones, max_zones, high, low, boot) = match provisioning {
-        ZoneProvisioning::Static { zones } => (zones, zones, zones, 2.0, -1.0, SimDuration::ZERO),
-        ZoneProvisioning::Elastic { min_zones, max_zones, high_watermark, low_watermark, boot_delay } => {
-            (min_zones, min_zones, max_zones, high_watermark, low_watermark, boot_delay)
-        }
-    };
-
-    let mut online: u64 = 0;
-    let mut admitted = 0u64;
-    let mut rejected = 0u64;
-    let mut departures: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
-    let mut boots: BinaryHeap<Reverse<SimTime>> = BinaryHeap::new();
-    let mut booting = 0usize;
-    let mut seq = 0u64;
-    let mut concurrent = TimeWeighted::new(SimTime::ZERO, 0.0);
-    let mut zone_level = TimeWeighted::new(SimTime::ZERO, zones as f64);
-
-    let mut now = SimTime::ZERO;
-    while let Some(next_join) = arrivals.next_after(now, &mut rng) {
-        if next_join >= horizon {
-            break;
-        }
-        // Process departures and zone boots up to the join instant.
-        while let Some(&Reverse((t, _))) = departures.peek() {
-            if t > next_join {
-                break;
+        let (mut admitted, mut rejected, mut peak_concurrent) = (0u64, 0u64, 0.0f64);
+        let mut zones = TimeWeighted::new(SimTime::ZERO, initial_zones as f64);
+        for e in trace.events() {
+            if e.at >= horizon || Some(e.component) != gaming {
+                continue;
             }
-            departures.pop();
-            online -= 1;
-            concurrent.set(t, online as f64);
-        }
-        while let Some(&Reverse(t)) = boots.peek() {
-            if t > next_join {
-                break;
+            let event = Some(e.event);
+            if event == join {
+                admitted += 1;
+                peak_concurrent = peak_concurrent.max(e.field_f64("online").unwrap_or(0.0));
+            } else if event == reject {
+                rejected += 1;
+            } else if event == zone_up {
+                zones.add(e.at, 1.0);
+            } else if event == zone_down {
+                zones.add(e.at, -1.0);
             }
-            boots.pop();
-            booting -= 1;
-            zones += 1;
-            zone_level.set(t, zones as f64);
-        }
-        now = next_join;
-
-        let capacity = zones * zone_capacity;
-        if (online as usize) < capacity {
-            online += 1;
-            admitted += 1;
-            concurrent.set(now, online as f64);
-            let session = session_secs(&mut rng);
-            departures.push(Reverse((now + SimDuration::from_secs_f64(session), seq)));
-            seq += 1;
-        } else {
-            rejected += 1;
         }
 
-        // Elastic control loop, evaluated at every join.
-        let occupancy = online as f64 / (zones * zone_capacity).max(1) as f64;
-        if occupancy > high && zones + booting < max_zones {
-            booting += 1;
-            boots.push(Reverse(now + boot));
-        } else if occupancy < low && zones > min_zones && booting == 0 {
-            zones -= 1;
-            zone_level.set(now, zones as f64);
+        let total = admitted + rejected;
+        WorldOutcome {
+            admitted,
+            rejected,
+            rejection_rate: if total == 0 { 0.0 } else { rejected as f64 / total as f64 },
+            peak_concurrent,
+            zone_hours: zones.average_until(horizon) * horizon.as_secs_f64() / 3600.0,
         }
     }
+}
 
-    // Drain departures and boots queued after the final join so the tail
-    // of the window is integrated at the true level.
-    while let Some(&Reverse((t, _))) = departures.peek() {
-        if t >= horizon {
-            break;
-        }
-        departures.pop();
-        online -= 1;
-        concurrent.set(t, online as f64);
-    }
-    while let Some(&Reverse(t)) = boots.peek() {
-        if t >= horizon {
-            break;
-        }
-        boots.pop();
-        zones += 1;
-        zone_level.set(t, zones as f64);
-    }
-
-    let total = admitted + rejected;
-    WorldOutcome {
-        admitted,
-        rejected,
-        rejection_rate: if total == 0 { 0.0 } else { rejected as f64 / total as f64 },
-        mean_concurrent: concurrent.average_until(horizon),
-        peak_concurrent: concurrent.peak(),
-        mean_zones: zone_level.average_until(horizon),
-        zone_hours: zone_level.average_until(horizon) * horizon.as_secs_f64() / 3600.0,
-    }
+/// Simulates the virtual world over `[0, horizon)` on a standalone
+/// [`WorldActor`](crate::actor::WorldActor) and reduces its trace.
+pub fn simulate_world(config: &GamingConfig, horizon: SimTime, seed: u64) -> WorldOutcome {
+    let trace = run_world(config, horizon, seed, "virtual-world");
+    WorldOutcome::from_trace(&trace, config.provisioning, horizon)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcs_simcore::trace::StreamConfig;
 
-    fn flashy_model() -> PlayerModel {
-        PlayerModel {
+    /// A diurnal population at 0.5 players/s with a x3 flash crowd for 2 h
+    /// from 06:00.
+    fn flashy(provisioning: ZoneProvisioning) -> GamingConfig {
+        let players = PlayerModel {
             base_rate: 0.5,
             amplitude: 0.5,
             period: SimDuration::from_hours(24),
             flash: Some((SimTime::from_secs(6 * 3600), SimDuration::from_hours(2), 3.0)),
-        }
+        };
+        GamingConfig { players, provisioning }
     }
 
     const DAY: u64 = 24 * 3600;
@@ -219,9 +172,7 @@ mod tests {
     #[test]
     fn static_world_rejects_under_flash_crowd() {
         let out = simulate_world(
-            &flashy_model(),
-            ZoneProvisioning::Static { zones: 8 },
-            100,
+            &flashy(ZoneProvisioning::Static { zones: 8 }),
             SimTime::from_secs(DAY),
             1,
         );
@@ -232,22 +183,18 @@ mod tests {
     #[test]
     fn elastic_world_absorbs_flash_crowd_cheaper_at_night() {
         let elastic = simulate_world(
-            &flashy_model(),
-            ZoneProvisioning::Elastic {
+            &flashy(ZoneProvisioning::Elastic {
                 min_zones: 2,
                 max_zones: 60,
                 high_watermark: 0.8,
                 low_watermark: 0.3,
                 boot_delay: SimDuration::from_secs(60),
-            },
-            100,
+            }),
             SimTime::from_secs(DAY),
             1,
         );
         let static_big = simulate_world(
-            &flashy_model(),
-            ZoneProvisioning::Static { zones: 60 },
-            100,
+            &flashy(ZoneProvisioning::Static { zones: 60 }),
             SimTime::from_secs(DAY),
             1,
         );
@@ -268,9 +215,7 @@ mod tests {
     fn no_players_no_rejections() {
         let model = PlayerModel { base_rate: 1e-9, ..Default::default() };
         let out = simulate_world(
-            &model,
-            ZoneProvisioning::Static { zones: 1 },
-            10,
+            &GamingConfig { players: model, provisioning: ZoneProvisioning::Static { zones: 1 } },
             SimTime::from_secs(3600),
             2,
         );
@@ -279,32 +224,35 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let a = simulate_world(
-            &flashy_model(),
-            ZoneProvisioning::Static { zones: 4 },
-            50,
-            SimTime::from_secs(DAY / 2),
-            9,
-        );
-        let b = simulate_world(
-            &flashy_model(),
-            ZoneProvisioning::Static { zones: 4 },
-            50,
-            SimTime::from_secs(DAY / 2),
-            9,
-        );
-        assert_eq!(a, b);
+        let run = || {
+            simulate_world(
+                &flashy(ZoneProvisioning::Static { zones: 2 }),
+                SimTime::from_secs(DAY / 2),
+                9,
+            )
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]
     fn capacity_is_never_exceeded() {
         let out = simulate_world(
-            &flashy_model(),
-            ZoneProvisioning::Static { zones: 3 },
-            25,
+            &flashy(ZoneProvisioning::Static { zones: 3 }),
             SimTime::from_secs(DAY / 2),
             3,
         );
-        assert!(out.peak_concurrent <= 75.0);
+        assert!(out.rejected > 0, "3 zones must turn players away");
+        assert!(out.peak_concurrent <= 300.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "full-retention trace")]
+    fn from_trace_rejects_a_streaming_trace() {
+        let trace = TraceBus::streaming(StreamConfig::default());
+        WorldOutcome::from_trace(
+            &trace,
+            ZoneProvisioning::Static { zones: 1 },
+            SimTime::from_secs(3600),
+        );
     }
 }

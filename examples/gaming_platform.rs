@@ -16,21 +16,18 @@ fn main() {
         flash: Some((SimTime::from_secs(6 * 3600), SimDuration::from_hours(2), 3.0)),
     };
     let day = SimTime::from_secs(86_400);
-    let static_small = simulate_world(&model, ZoneProvisioning::Static { zones: 12 }, 100, day, 1);
-    let static_big = simulate_world(&model, ZoneProvisioning::Static { zones: 80 }, 100, day, 1);
-    let elastic = simulate_world(
-        &model,
-        ZoneProvisioning::Elastic {
-            min_zones: 4,
-            max_zones: 80,
-            high_watermark: 0.8,
-            low_watermark: 0.3,
-            boot_delay: SimDuration::from_secs(90),
-        },
-        100,
-        day,
-        1,
-    );
+    let world = |provisioning| {
+        simulate_world(&GamingConfig { players: model.clone(), provisioning }, day, 1)
+    };
+    let static_small = world(ZoneProvisioning::Static { zones: 12 });
+    let static_big = world(ZoneProvisioning::Static { zones: 80 });
+    let elastic = world(ZoneProvisioning::Elastic {
+        min_zones: 4,
+        max_zones: 80,
+        high_watermark: 0.8,
+        low_watermark: 0.3,
+        boot_delay: SimDuration::from_secs(90),
+    });
     println!(
         "{:<16} {:>10} {:>10} {:>12} {:>12}",
         "virtual world", "admitted", "rejected", "peak online", "zone-hours"

@@ -5,6 +5,29 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace --bins --examples
+
+# Codegen gate: the EcosystemMsg instance of Simulation::step (the one whose
+# body drops EcosystemMsg values) must inline BinaryHeap::push and pop.
+# Whether it does depends on how rustc splits mcs-core into codegen units,
+# so an edit to mcs-core or to a tenant actor's generic handler, or even the
+# checkout path (cargo hashes it into symbol names), can move it. The
+# engine's other step instance calls pop out of line; it is not gated.
+step_heap_calls="$(objdump -d -C target/release/ecosystem_full | awk '
+    /^[0-9a-f]+ <mcs_simcore::engine::Simulation<M>::step>:$/ { on = 1; eco = 0; calls = 0; next }
+    on && /^$/ { if (eco) print calls; on = 0; next }
+    on && /EcosystemMsg/ { eco = 1 }
+    on && /call.*<alloc::collections::binary_heap::BinaryHeap<T,A>::(push|pop)>/ { calls++ }
+    END { if (on && eco) print calls }
+')"
+if [ -z "$step_heap_calls" ]; then
+    echo "verify: FAIL — no EcosystemMsg Simulation::step body in ecosystem_full" >&2
+    exit 1
+fi
+if grep -qv '^0$' <<< "$step_heap_calls"; then
+    echo "verify: FAIL — the EcosystemMsg Simulation::step calls BinaryHeap::push/pop out of line" >&2
+    exit 1
+fi
+
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
@@ -81,4 +104,4 @@ if [ "$allow_count" -gt "$allow_budget" ]; then
     exit 1
 fi
 
-echo "verify: OK (offline build + tests + clippy + rustdoc + benchmark tests + example smoke runs + par-aware determinism diffs + 9 report snapshots + invariant gate + composed_batch and fabric_stress benchmark smoke + self-compare + allow-lint budget)"
+echo "verify: OK (offline build + EcosystemMsg step codegen gate + tests + clippy + rustdoc + benchmark tests + example smoke runs + par-aware determinism diffs + 9 report snapshots + invariant gate + composed_batch and fabric_stress benchmark smoke + self-compare + allow-lint budget)"

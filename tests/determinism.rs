@@ -77,16 +77,11 @@ fn faas_platform_is_reproducible() {
 
 #[test]
 fn virtual_world_is_reproducible() {
-    let model = PlayerModel::default();
-    let run = || {
-        simulate_world(
-            &model,
-            ZoneProvisioning::Static { zones: 10 },
-            100,
-            SimTime::from_secs(6 * 3600),
-            77,
-        )
+    let world = GamingConfig {
+        players: PlayerModel::default(),
+        provisioning: ZoneProvisioning::Static { zones: 10 },
     };
+    let run = || simulate_world(&world, SimTime::from_secs(6 * 3600), 77);
     assert_eq!(run(), run());
 }
 
