@@ -51,13 +51,14 @@ done
 
 # Determinism gate: the composed-ecosystem, resilience-ablation,
 # network-contention and portfolio-driven table experiments (Table 3's C7
-# row and Table 5's MCS row run PortfolioSelector) must render
+# row and Table 5's MCS row run PortfolioSelector) and Fig. 5's FaaS
+# platform sweeps must render
 # byte-identical reports across two runs at the same seed — and across
 # parallel-sweep widths, since mcs-simcore::par merges fan-out results by
 # input index, never by completion order. The serial report must also
 # match its committed snapshot in tests/reports/, so a behaviour change
 # cannot slip through a refactor unnoticed (stdout carries no wall time).
-for exp in ecosystem_composed ecosystem_full resilience_ablation locality_contention chaos_sweep scale_stress dag_portfolio table3_challenges table5_paradigms; do
+for exp in ecosystem_composed ecosystem_full resilience_ablation locality_contention chaos_sweep scale_stress dag_portfolio table3_challenges table5_paradigms fig5_faas_refarch; do
     MCS_PAR_WORKERS=1 "./target/release/$exp" 42 > "$tmpdir/${exp}_w1.txt"
     MCS_PAR_WORKERS=4 "./target/release/$exp" 42 > "$tmpdir/${exp}_w4.txt"
     MCS_PAR_WORKERS=4 "./target/release/$exp" 42 > "$tmpdir/${exp}_w4b.txt"
@@ -104,4 +105,4 @@ if [ "$allow_count" -gt "$allow_budget" ]; then
     exit 1
 fi
 
-echo "verify: OK (offline build + EcosystemMsg step codegen gate + tests + clippy + rustdoc + benchmark tests + example smoke runs + par-aware determinism diffs + 9 report snapshots + invariant gate + composed_batch and fabric_stress benchmark smoke + self-compare + allow-lint budget)"
+echo "verify: OK (offline build + EcosystemMsg step codegen gate + tests + clippy + rustdoc + benchmark tests + example smoke runs + par-aware determinism diffs + 10 report snapshots + invariant gate + composed_batch and fabric_stress benchmark smoke + self-compare + allow-lint budget)"

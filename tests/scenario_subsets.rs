@@ -84,7 +84,19 @@ fn digest(out: &ScenarioOutcome) -> u64 {
     let mut h = Fnv::new();
     h.bytes(trace.to_json_string().as_bytes());
     h.debug(schedule);
-    h.debug(faas);
+    let PlatformReport {
+        invocations,
+        cold_fraction,
+        latency: _,
+        billed_gb_secs,
+        provider_gb_secs,
+        peak_instances,
+    } = faas;
+    h.u64(invocations.len() as u64);
+    h.f64(*cold_fraction);
+    h.f64(*billed_gb_secs);
+    h.f64(*provider_gb_secs);
+    h.u64(*peak_instances as u64);
     for v in [
         *arrivals,
         *final_capacity,
@@ -316,522 +328,522 @@ fn every_tenant_subset_matches_its_pin_and_every_flow_owner_ends_and_aborts() {
     }
 }
 
-const SCRIPTED_PARTITION: u64 = 0x23d93d1450cead14;
+const SCRIPTED_PARTITION: u64 = 0xdc50863433a2610e;
 
 const CRASH_ONLY: [u64; 256] = [
-    0x7d9a9950ae5a97e7,
-    0x3c556324c1a6c2a0,
-    0xa43f63026da6ba79,
-    0x8f4d04f5d2e5a717,
-    0x3e72a707081bde3f,
-    0xc6168a930898e16f,
-    0xbbeb71f2e9fb77b6,
-    0xa4f4b8b92b887cbc,
-    0x104da40e5a6e10f5,
-    0x276edc88e359f435,
-    0x7b0053959ed29600,
-    0x5a834176eb343e70,
-    0x07a6b6a9276013cd,
-    0x4e8aa35d5278b4a3,
-    0x070f7dd91da932f5,
-    0xa5c3dc8bde4d98a7,
-    0x31df9432af0f7f81,
-    0xe57ba1151e6c21d7,
-    0x30132935a3018c4f,
-    0x52f2d27e757328b6,
-    0xdcc06d1da2d3049b,
-    0x176871208ee37969,
-    0x972fef807a36543c,
-    0x1bba63f632252c2d,
-    0x8b0601c8a4fa8bfd,
-    0xa0e8c569380ade09,
-    0x10264f554360e2ec,
-    0xae42d9cf5b8c5475,
-    0x8ed91572af7f30ec,
-    0x01f9e3fb76296d24,
-    0xfdff83482bd91463,
-    0xd1bb0f01b055522c,
-    0x353b150c4f3203cf,
-    0x9032fa6b5de3508d,
-    0x52fbd0b1f182c1f1,
-    0x21b4f9a4ee4f4eb3,
-    0x56a44b7c32d269dd,
-    0x3f93fb4369f76a70,
-    0xfac58c0ecab4c626,
-    0xf369f092cd283a28,
-    0x430594c336a3086a,
-    0x0255948fda2a12d7,
-    0xa35da965db866b79,
-    0x17c046b55043e463,
-    0x5c7eb478fe35be4e,
-    0xb0de02cfb21b7857,
-    0x52e8df0481e6d5d9,
-    0xf68e7c3d57380b4b,
-    0x7217c3421276697d,
-    0x40b7047d2993c9c8,
-    0xf1636c5882a1eaeb,
-    0xd8cbccbff23d41db,
-    0x33c18c05d776326f,
-    0xa8513478bdf9a5f5,
-    0x8483733ba97485e1,
-    0xf4400d505d9b0dac,
-    0x650b2183635d2ddb,
-    0x9c19cedd1a057675,
-    0x9e7aaca51399f4c2,
-    0x98856125990bda30,
-    0xc6589bbf456bf09c,
-    0xa8b65c60dff93d46,
-    0x282b9f5997e58d6f,
-    0xcf3561ef26a6b755,
-    0x107eac4a9fbb2eb5,
-    0xb24de0d747788d90,
-    0xe30dbfdbabef737f,
-    0xfdb4c7088ef16e82,
-    0xc1f0a3eb60ea3dfd,
-    0xbb5cef563e2cd1ea,
-    0x97681340b15eecd0,
-    0x8131ec89e5757ec5,
-    0x23b678bd7cce9e84,
-    0x7a514551954dce06,
-    0xa206d29fc2ce8091,
-    0x45e625ed2a47a785,
-    0x06fe5e25cd6adec4,
-    0x2dea0d769c7a2c01,
-    0x85297f85b094c731,
-    0x56c2fc72f4ed236c,
-    0x35212de2e8cd440e,
-    0x45b8321f9fd25050,
-    0x849ca03496369cea,
-    0x9097e21082ff3970,
-    0x3e77fcd03ee743eb,
-    0xc14c018986ec693f,
-    0x9ad6d55db58dd1ca,
-    0xaffc3bfc42a749f6,
-    0x85e98e721255b008,
-    0x3672c045932dc869,
-    0x4d1e7d253efb45d4,
-    0x1dfd8de02fededdb,
-    0x0c0931128ab67dd2,
-    0x7368dd9035e8fe88,
-    0x9bd029df900d1404,
-    0x392f01c3d456055a,
-    0xdf7a23aa5880ba9e,
-    0x2f38c5e31faf03e1,
-    0xce3238dce49b4d9d,
-    0x6c36b41ab6699660,
-    0x00f8d94b852175d6,
-    0x29aa094acaeb7103,
-    0x1787c51c08b0fcd5,
-    0x50d5819db4c5df5d,
-    0xbc57361ee1c37ed1,
-    0xe402504594ec0544,
-    0x8b31220c26f6c67c,
-    0x17dfb63b50efc8e5,
-    0xdf15e37c9c8e5945,
-    0x5c57125a43bfd723,
-    0x90e9972a20dbd35e,
-    0xdf2bd5fcb372dd7a,
-    0x2b14471742a26a2b,
-    0x6ef5e47566df89b3,
-    0x42fbb80cbef2c354,
-    0x649bfab6746e3a6b,
-    0xd125a4f48492f801,
-    0x4a0591a16eadc6b0,
-    0x6ed2c242b022bfb4,
-    0x5fe26194f7fa242f,
-    0xca9c5f27cc38289e,
-    0x8b62da9c0426a78b,
-    0x7694b56259f2191a,
-    0xe49d201d7ac55f1f,
-    0xcf83eb79cb996c36,
-    0xeaad235311a29ca5,
-    0x723796c58e9603be,
-    0xe980e23038f9c0ba,
-    0x7d9a9950ae5a97e7,
-    0xd7044605b02f56a5,
-    0x5c76bcedaff42dee,
-    0x5e149f9043db52cf,
-    0xa47715e42948555b,
-    0xc4073d5b8fbe523e,
-    0x7f81d4d995159a4e,
-    0x23dca7628b87eeb4,
-    0x037b3cf1472d0f69,
-    0xfebd2f1430db120f,
-    0xef48245d09eb481f,
-    0x1a9e1f957307f9b3,
-    0xfc3c8f0ef22e29ab,
-    0xae7891ab999abe84,
-    0x28b523e62010de70,
-    0xe9365be6105cc3b9,
-    0xbb7b4531a5fede77,
-    0x1b1d9d28a60064ae,
-    0xd11c6b46021e7c16,
-    0x0a7682fb8fc4219f,
-    0x7e9d0bfa3356a667,
-    0x0cb7f8de6e191f9b,
-    0xd606167cd7ba526f,
-    0x008235f7d39804a9,
-    0xe30f52d93a0f310a,
-    0xa03ee9a3f09b60aa,
-    0x43cfa6e283a47e14,
-    0x30de5070995742fd,
-    0x10e7899a9331f9d2,
-    0x3290a944bd600dca,
-    0x7af78dc4e17d6d7f,
-    0x92b34a4aff8dc212,
-    0x020995b4f725f608,
-    0x391b813d23d39f40,
-    0xc432fe032e8dbf7b,
-    0x62f77a09cadfb36b,
-    0x7b5638f579a5b2b8,
-    0x28c763a04946a6d3,
-    0x8d77f6c66fc3de24,
-    0xa0f88c429fe6ddba,
-    0xb9c4faca6561e55a,
-    0xb4554908d04456e1,
-    0x8deb3ae802eac826,
-    0x7a75e1d76c3ff008,
-    0xb539e1a626894662,
-    0x4262786667f95ff5,
-    0x9d7c9327dfbefc85,
-    0xb88bd7cb77d1d9a3,
-    0xe66e562ab3fb8630,
-    0x2f55150a93d8dfe6,
-    0xf5d6577e0fff2256,
-    0x40f3b59507adda7d,
-    0xa19ed7af9eb596cb,
-    0xd3a97e4e10ff5e39,
-    0x1b20f9f4bbce4839,
-    0x0e6cc4d320474d87,
-    0x9ed021f4e0d4974b,
-    0x480682f06c28e0bf,
-    0x7cdf173f1612e0cb,
-    0x55b57d60ad289d74,
-    0xd5b29a5928db73bb,
-    0xc9c7b9d598421f41,
-    0x945e90088a623c7f,
-    0x9ef142d51c8c0b50,
-    0xb5b6f54a05bdea0f,
-    0x4eb64aa5c2d7d625,
-    0x1cdf4f9410ad63bb,
-    0xce3b3f996c42c863,
-    0x976c558758b4f31b,
-    0xa5a3fab8e291fad9,
-    0x5ac4cb5028e2d831,
-    0xd494e5badead9772,
-    0x541d0d531b928115,
-    0x6c431f4ac110bfc0,
-    0x9365e82d71ab1535,
-    0xc89a337cfcf0dbac,
-    0x9147334d25c96edf,
-    0x52fa7c6522f2da23,
-    0x8ff08babf674200d,
-    0xfba87cb0f29ce033,
-    0x20f7453f68f58ebc,
-    0xa31ef08b23cca7d2,
-    0x7220bac3be30b519,
-    0x01febbe09a7661d4,
-    0x45f0b5013895aa0d,
-    0x19fe08ed2e945f6e,
-    0x713b9b428e9929c3,
-    0xde72f7ea82371990,
-    0xe0da9d66ede8730c,
-    0x62ae66201f268181,
-    0x8383bd69e9ef89a1,
-    0x2d6db383a4eb71dc,
-    0xc3657085ef0572ea,
-    0x93abddc1d3cb6c2b,
-    0x50a39b89d4cc13ed,
-    0x6b221edf49ee6b78,
-    0xe5efac389b244e31,
-    0x7eff4d6cbcc6ae85,
-    0xfcc3d6a95bcb9ce0,
-    0xdc7d4e36ad38ef38,
-    0x2640401e45bbcc25,
-    0x697398ddca6bbc43,
-    0xe81bcf6f383f5fed,
-    0xded3b9c732c2f9f4,
-    0x44f80692559c1e7c,
-    0xfae920a66d0d9eb1,
-    0xb3cbc45f8a880910,
-    0x2e3ba8c503410ec9,
-    0x944120913823d594,
-    0x13185975b7d66672,
-    0x596b903a4c45c3dd,
-    0x97a6d7ce95abfa59,
-    0x62e9fba029578b05,
-    0x262ccc3ecf26d111,
-    0x0d3297147da03036,
-    0x465a1fb804dd85af,
-    0x1b79e2d5597514fa,
-    0xb738f0b6cde7dfca,
-    0xee135fa2c91a0f96,
-    0xce075855dbdc4d6c,
-    0x241c05092dd4a389,
-    0xab0aa0e3429a857c,
-    0xb728304cb22f90eb,
-    0x942cc9f9403f4be0,
-    0xa9f259f04dc8ed58,
-    0xc52d79656d2d48ae,
-    0x4c257e8ccae6c96b,
-    0xffe19c416d9a3e08,
+    0x8cd7454ee3340d65,
+    0x35ab246a74c0ac62,
+    0x051376c7b55971bc,
+    0x21d3f7f2db71980d,
+    0xcda98c77c30b6345,
+    0xed1555569a82e6ad,
+    0x88c978a688e50f20,
+    0x2101bf0058d02a89,
+    0x3f3f5f6d67866337,
+    0x4f1ff58a496897f7,
+    0x016f319889ca41df,
+    0x678744dc3b4574f3,
+    0x268b6fb25ef5c44f,
+    0x3123f58dd7456459,
+    0xd67c966f969016aa,
+    0x87237a9b242e2fd3,
+    0xdc0f0b2b6bcef023,
+    0x0aa3b2171b736c1d,
+    0x13e343e8db0156a7,
+    0x70b76e74bb888db8,
+    0xa206da3df1455c59,
+    0xb8a6437db3a30c13,
+    0x92fe25343f2e6727,
+    0x034b678ec0a0b15c,
+    0xf38caf661c1aa197,
+    0xe2f444b26c1d1a23,
+    0xc962b445bda2f342,
+    0x1d712557d63eb089,
+    0x125659cb904ec9ee,
+    0x910091abc3f87126,
+    0xa6830f0fe8597cb2,
+    0x565472684828e34e,
+    0xc39b052a84481c51,
+    0xb4f76d67c30bf2f3,
+    0x0a362054090a58d4,
+    0x2169785b190a20e8,
+    0x6fceb087a7b4d0c7,
+    0xdb0a1e068d8d0cd2,
+    0x09c5ed36ba79f7ab,
+    0x1514d7db815e2d9b,
+    0x3f3e2db93e14a748,
+    0x2fdf1db25b05ceed,
+    0xdaa1da5a3c0abc44,
+    0xde7a433cd9254f5f,
+    0x48bc6697bc35fb90,
+    0x776e6d5130fa8bf5,
+    0xe68b4ce8159fba91,
+    0x40626efd50dc0ca9,
+    0x114b24fb14d47ce3,
+    0xfdf8089efe1bc556,
+    0x989c2bc58f977038,
+    0x7ae3159a2065a801,
+    0x7b54cd60b034ef3d,
+    0x9b620218bc4e1167,
+    0x2bbc028bac2ffc9e,
+    0x42df35618ffea640,
+    0xf192ba8b20cb4775,
+    0x5ab5269a30a7a727,
+    0x7e1d098514b5cc59,
+    0x31a0f204eb226c68,
+    0x7198b6c7016c4d3e,
+    0xa9f1ff31a95c6964,
+    0x5ceb9a1212ecc65a,
+    0x46ab3dfbfb762ec2,
+    0x1a7262ebfbf38373,
+    0xe460b976e9d7517e,
+    0x785b2d039e0d05a8,
+    0xa6c13b6b018ed24f,
+    0x6057783f983544d7,
+    0x40586b24eb17e7d0,
+    0x617558167d1613be,
+    0x33aa947cdd954abc,
+    0x46a00d4050a7928a,
+    0x5761ca193cb3ad0c,
+    0xd480841a33f8d2bd,
+    0xa7a9499d6f9c2842,
+    0x8e23b4d9cc45cf5a,
+    0xe70d50975b751a2b,
+    0xb2bdf61bcc1706c1,
+    0xa32f2691396424a6,
+    0x132ee85632caed70,
+    0x6be4ea6c28d01f7a,
+    0x949fdf36dde3a4fb,
+    0x8ba28dbcb92b309a,
+    0x7be6322cb539576d,
+    0x57189f050a9afff1,
+    0x5334fcd4aa239818,
+    0x1ac0e338ea26599f,
+    0x08fe87e47c96fd1a,
+    0x4845d7424d03e457,
+    0x87df57f5c66864e1,
+    0x0f690f1ddb3ca8c3,
+    0xfef411fabeb882ec,
+    0xc1cd0f990ad91582,
+    0x3fed53abf8d07eac,
+    0x83b35b10165048d0,
+    0xaedd611b2d821738,
+    0xc7e5a65c7049da6f,
+    0x5b79bea5fe3a8725,
+    0x9503f4992a337e52,
+    0x3153263bccb01bcc,
+    0xa06bde6e858746bd,
+    0x02ad8ab4eeb048d6,
+    0xf09c820e3473c9e6,
+    0xe79c0d3e9a73bc63,
+    0xd495f91009e28846,
+    0x2df68ae63485e453,
+    0x2b561db713645b1c,
+    0x1ff19092cf2f1783,
+    0x5219cdfc8d46b2cd,
+    0xe59a06028f36f67a,
+    0x5c823a2b29abeee5,
+    0x2b23ff5ab5db6d35,
+    0x1312a7bab6333655,
+    0xface588ba13f55ab,
+    0x89b9d19f18b72567,
+    0x9345f1a6d4b0f7a3,
+    0x8ef7aadc17120a52,
+    0x787eca88d77e68f6,
+    0x4a798cddec8690f1,
+    0xaf41ed88839bd898,
+    0xa488c7e20bad4c31,
+    0xdba6a28133c4593d,
+    0xddd0f3a5db077b07,
+    0x3d0996f46e3fd4b8,
+    0x61fefeafd59d5913,
+    0x4068d94315d71ac6,
+    0x39dd1a74f94a4edb,
+    0x8cd7454ee3340d65,
+    0x0b21d2b6236ecea7,
+    0xa95c43ba308f7eae,
+    0x36e6a25e57d547a9,
+    0x505b529aa1c7a9f9,
+    0xea3d25d1e3a0a794,
+    0xfa1e4df884f89e62,
+    0xaf763782ad25d0f1,
+    0xce4393b39ef68daf,
+    0x0ee132188a09cd8d,
+    0x15fa62cf92465adc,
+    0x03fab92f222e58b1,
+    0x763712f7a84756c5,
+    0x5e1af125166d0baa,
+    0xe0382230e870aaf8,
+    0x6c78a554ca60d2b7,
+    0x16829800c6591a75,
+    0x1d4fbf770675d02c,
+    0x1c8ec31a3c6a044e,
+    0xb5d47064de90264d,
+    0x5a4870bde2ca4ba5,
+    0xa50df545bb943191,
+    0x70df7be7d35e7315,
+    0x4fc79b0699122ead,
+    0xa46f6aba265cced8,
+    0x5a8deefccc75c598,
+    0x93162d20821d57eb,
+    0x48556cfc01b7fa51,
+    0xb003432ec187e780,
+    0x02e23d8a0c62d150,
+    0x3661aeafa0a36b13,
+    0x18fbbaca70213448,
+    0xe079b3362ada13ba,
+    0x7f4c3a08d7e343da,
+    0x3c2def0ce5611933,
+    0x031643e4472ee3c9,
+    0xf6ab7a9282310e8a,
+    0x0c2e891536544fc5,
+    0x171e973a4ccef353,
+    0x33743831f803ee47,
+    0xc08aedb22fcb147c,
+    0xa57a4dd1667f505f,
+    0xa1d82336e90cd2c2,
+    0xa05cecda659b31fe,
+    0x69520c359b9cccdc,
+    0x6da2d78d35377a03,
+    0x2602b1889e3993e3,
+    0xb0fa5f97fa31b72a,
+    0x417c8b988c38d94a,
+    0x52bd23702c740a64,
+    0x1d1db68c32dac8bd,
+    0x577866118a55e781,
+    0x318ba639f38365d9,
+    0xfe5e20d0d754b7db,
+    0x86858b35479a7f9f,
+    0xeeca79002c0d0ee7,
+    0x90e5c5d088686681,
+    0x7d2a090e02a42a55,
+    0x4f57a61d7707b349,
+    0x629a1b622801820a,
+    0xa2640363de08564d,
+    0x3129751152066aa7,
+    0x6f64b40ec0a69748,
+    0x679d960343d09a17,
+    0x1e66dad9a995b22d,
+    0x8e44ecd7faf70423,
+    0x809ecd2c926860d7,
+    0x71ca07828472d66f,
+    0x8a605734b943e00d,
+    0x7be756b3bd8e02c3,
+    0xa80159b224bfcf3c,
+    0xdc036ef6cf01e81a,
+    0x81467c643cad8df3,
+    0x8b8aaa700e0b8656,
+    0x6bb199b53558c84d,
+    0xd523c10393e99ed5,
+    0x73dcdceb8b58ddcd,
+    0x4620392bc28fa8e5,
+    0x5c93c96cf9241300,
+    0x77c41caadae9450c,
+    0xfe086c9cc1bae5fe,
+    0x83bfde2c97e3f27c,
+    0x8109c4b2cbd4655e,
+    0x9cedf6d13c7e15ee,
+    0xe6ee847fc535f893,
+    0x8525b1d107ddc760,
+    0x741bd1d4aeeec473,
+    0xa75676fce973906e,
+    0x5af25b21348dd9ca,
+    0xe85be1a11a1864a3,
+    0x082a4f343758977e,
+    0x17b9a11d59a9ff5a,
+    0x7607b78855a5f550,
+    0x188da745e60d40f9,
+    0xe725ddabc23698f3,
+    0xf0ffde88a5520ab0,
+    0x659e1bae9bcaa37f,
+    0xa93a89d10882dceb,
+    0x80a464dd9cee27fd,
+    0x1131b7120ac42c0d,
+    0xc3803f09d30eec07,
+    0xa77f067050e97e19,
+    0xf821757395c350cb,
+    0x5752d87286825266,
+    0x224e0b870cf1f6e2,
+    0x4ce4069af1c148ab,
+    0x2cda0d9c9d9ac46a,
+    0xc1a04fceee3f2b92,
+    0x48ec99378fd74516,
+    0x3f920802c6348f98,
+    0x06b864e09924fcdb,
+    0x72f79e4136031b32,
+    0x85fcd117f95b4bcf,
+    0x274786ae2ffca9e7,
+    0x30efc9e941077f82,
+    0x84859d0ab16fcf00,
+    0xe38dd87e3e317afc,
+    0x8a5c23b129213cbc,
+    0x13ea4bc2e4a91344,
+    0xd0e552f5fd09580c,
+    0x930444b4d7de59c7,
+    0x8db707771c9d0e3a,
+    0x1d1a0b0c6cf9c75f,
+    0x83cb42ffb60ba1e6,
+    0x79222b435b0f0126,
+    0xe09fe144dc417ca0,
+    0x2fdd3b8f134de862,
+    0xcc7a60cf04fc5811,
 ];
 
 const MIXED: [u64; 256] = [
-    0x7d9a9950ae5a97e7,
-    0x3c556324c1a6c2a0,
-    0xa43f63026da6ba79,
-    0x5776ad2aabe41cb7,
-    0xa8db1e028a7b9a99,
-    0xb2e5f27b46b17054,
-    0x8d1943f1f3d054ad,
-    0xaf25ce4fa836fbad,
-    0x104da40e5a6e10f5,
-    0x276edc88e359f435,
-    0x7b0053959ed29600,
-    0x5a834176eb343e70,
-    0x77a56a7c08e5f4c9,
-    0x54a4130450ab26e6,
-    0x081be3dcc5bda434,
-    0x57009a0eff70d831,
-    0x31df9432af0f7f81,
-    0xe57ba1151e6c21d7,
-    0x30132935a3018c4f,
-    0x52f2d27e757328b6,
-    0x646c75ef5ca6edce,
-    0x3bdb3bbf8f39402f,
-    0xab325fdd86c69575,
-    0xbab7c0399d341eb6,
-    0x8b0601c8a4fa8bfd,
-    0xa0e8c569380ade09,
-    0xd50b073938fc7a3e,
-    0x3b229261df5873e7,
-    0x3ce810a68c52fa27,
-    0xef611b93b4041624,
-    0xe5c487c0073bb067,
-    0xed832757f908a83a,
-    0x353b150c4f3203cf,
-    0x9032fa6b5de3508d,
-    0x52fbd0b1f182c1f1,
-    0x21b4f9a4ee4f4eb3,
-    0xc3c33038553b2275,
-    0x3f93fb4369f76a70,
-    0x01dc5a48eafe0267,
-    0xf369f092cd283a28,
-    0x430594c336a3086a,
-    0x0255948fda2a12d7,
-    0xa35da965db866b79,
-    0x17c046b55043e463,
-    0x433db926c380208e,
-    0xb010e65dab5e2ae3,
-    0x1dc294e6beec1938,
-    0x31b10eea31a5f65c,
-    0x7217c3421276697d,
-    0x40b7047d2993c9c8,
-    0xf1636c5882a1eaeb,
-    0xd8cbccbff23d41db,
-    0x4b9bd73f2a55afe0,
-    0x4919f8c4a8a68e85,
-    0xf2bedd4a72c923cc,
-    0x07148dbd9f2d3e28,
-    0x650b2183635d2ddb,
-    0x9c19cedd1a057675,
-    0x9e7aaca51399f4c2,
-    0x98856125990bda30,
-    0x0ea8a89caa87a3e0,
-    0xa8b65c60dff93d46,
-    0x38a21fce65469229,
-    0x7293b6fecd35ba67,
-    0x107eac4a9fbb2eb5,
-    0xb24de0d747788d90,
-    0xe30dbfdbabef737f,
-    0xfdb4c7088ef16e82,
-    0xf9921d91af0a4265,
-    0xbb5cef563e2cd1ea,
-    0x97681340b15eecd0,
-    0x1b1977a7b2c0ff50,
-    0x23b678bd7cce9e84,
-    0x7a514551954dce06,
-    0xa206d29fc2ce8091,
-    0x45e625ed2a47a785,
-    0x195ac22e5ca97321,
-    0x2dea0d769c7a2c01,
-    0x56871e32652de6b2,
-    0xa2c234e53ff9ed79,
-    0x35212de2e8cd440e,
-    0x45b8321f9fd25050,
-    0x849ca03496369cea,
-    0x9097e21082ff3970,
-    0x5910b69aaaa922e5,
-    0x645190780b54ff0d,
-    0xc2ae73977b1f1ecf,
-    0x0d0cc0fa0c1d7162,
-    0x85e98e721255b008,
-    0x3672c045932dc869,
-    0x4d1e7d253efb45d4,
-    0x1dfd8de02fededdb,
-    0x1ac3655a352392a1,
-    0xa4d29c9a135db1a5,
-    0x9bd029df900d1404,
-    0xa19fcf07d287ed9c,
-    0xdf7a23aa5880ba9e,
-    0x2f38c5e31faf03e1,
-    0xce3238dce49b4d9d,
-    0x6c36b41ab6699660,
-    0x399aee615028307c,
-    0xa2f5590abc2ce081,
-    0xe7dc5933f2c0af3d,
-    0x4386886b98383d0a,
-    0xbc57361ee1c37ed1,
-    0xe402504594ec0544,
-    0x8b31220c26f6c67c,
-    0x17dfb63b50efc8e5,
-    0xdf15e37c9c8e5945,
-    0x412f225f588cd7ac,
-    0xac8c5af5778fb535,
-    0x9cd41c4cda034975,
-    0x2b14471742a26a2b,
-    0x6ef5e47566df89b3,
-    0x42fbb80cbef2c354,
-    0x649bfab6746e3a6b,
-    0xca74efce0fcb2327,
-    0x3e61233a80e49546,
-    0xcef196ddb5c7e033,
-    0x73abc052282c4727,
-    0xca9c5f27cc38289e,
-    0x8b62da9c0426a78b,
-    0x7694b56259f2191a,
-    0xe49d201d7ac55f1f,
-    0x346ff7be3409cbc6,
-    0x5b5cb2e3c0c3770e,
-    0x60cbf89ac576cde3,
-    0x699e7d7ca26a76d2,
-    0x7d9a9950ae5a97e7,
-    0xd7044605b02f56a5,
-    0x5c76bcedaff42dee,
-    0x5e149f9043db52cf,
-    0x70c4424d13f655b6,
-    0xff7e653624fc8a26,
-    0x6ca340226fdf59dd,
-    0x1c50f738b9e5f03a,
-    0x037b3cf1472d0f69,
-    0xfebd2f1430db120f,
-    0xef48245d09eb481f,
-    0x1a9e1f957307f9b3,
-    0xbba617705664c626,
-    0xdca454e1f1055287,
-    0x7d65502099e46d30,
-    0xe64d21dec83a65cf,
-    0xbb7b4531a5fede77,
-    0x1b1d9d28a60064ae,
-    0xd11c6b46021e7c16,
-    0x0a7682fb8fc4219f,
-    0xcb87fd08ba6cb372,
-    0x0cb7f8de6e191f9b,
-    0x5d95b4e228360662,
-    0x008235f7d39804a9,
-    0xe30f52d93a0f310a,
-    0xa03ee9a3f09b60aa,
-    0x43cfa6e283a47e14,
-    0x30de5070995742fd,
-    0x2ef885a42f8d0ba6,
-    0x3290a944bd600dca,
-    0x29692fdc50a10ed9,
-    0x6527169bf72fc3c7,
-    0x020995b4f725f608,
-    0x391b813d23d39f40,
-    0xc432fe032e8dbf7b,
-    0x62f77a09cadfb36b,
-    0x61510203f68314e1,
-    0x28c763a04946a6d3,
-    0x14735e3155981a0a,
-    0x87adb5a864e54cca,
-    0xb9c4faca6561e55a,
-    0xb4554908d04456e1,
-    0x8deb3ae802eac826,
-    0x482e8298c55c6ccc,
-    0x69bf0bde9e89ebfb,
-    0xe1a5d791f2b56714,
-    0x8fea892e68591e1e,
-    0x75fa5c5af1308d68,
-    0xe66e562ab3fb8630,
-    0x2f55150a93d8dfe6,
-    0xf5d6577e0fff2256,
-    0x40f3b59507adda7d,
-    0x85fcca7e08f32a51,
-    0xd561e61ffc6f7795,
-    0x151c16a38f9f5940,
-    0xbbce46d8434cc5e2,
-    0x9ed021f4e0d4974b,
-    0x480682f06c28e0bf,
-    0x7cdf173f1612e0cb,
-    0x55b57d60ad289d74,
-    0x8079ba63dd1b0b76,
-    0xe8fc92161e82ab9d,
-    0xfeec839a1336dc0f,
-    0x003174799e4ecfc9,
-    0xb5b6f54a05bdea0f,
-    0x4eb64aa5c2d7d625,
-    0x1cdf4f9410ad63bb,
-    0xce3b3f996c42c863,
-    0x46be501d2b213f80,
-    0x8bdaecbafa4acc08,
-    0x6c0b51d79a31d8f3,
-    0xa61cf2672c5fd79c,
-    0x541d0d531b928115,
-    0x6c431f4ac110bfc0,
-    0x9365e82d71ab1535,
-    0xc89a337cfcf0dbac,
-    0x9147334d25c96edf,
-    0x01b9544292d0ef0f,
-    0x80d39839b30cafbe,
-    0xa7b4d6e473ce6548,
-    0x20f7453f68f58ebc,
-    0xa31ef08b23cca7d2,
-    0x2e09adc6cb3518f9,
-    0x01febbe09a7661d4,
-    0x76df5fa88059913a,
-    0x450c25cd43f75037,
-    0x742c084602908330,
-    0xb11e31b65dfe2a21,
-    0xe0da9d66ede8730c,
-    0x62ae66201f268181,
-    0x8383bd69e9ef89a1,
-    0x2d6db383a4eb71dc,
-    0x1b5657b8d94ed548,
-    0x9f8ce1acad8c5e92,
-    0x3b6f7a2fec041fab,
-    0xac3961b87ba837d8,
-    0xe5efac389b244e31,
-    0x7eff4d6cbcc6ae85,
-    0xfcc3d6a95bcb9ce0,
-    0xdc7d4e36ad38ef38,
-    0x6140547b59a920d2,
-    0xfb9b8ee44f982190,
-    0x44961948f81ebd35,
-    0x3f0911a333720c01,
-    0x44f80692559c1e7c,
-    0xfae920a66d0d9eb1,
-    0xb3cbc45f8a880910,
-    0x2e3ba8c503410ec9,
-    0x8248faee0de34150,
-    0xd5dfcd1e16bb6a5b,
-    0xd04ff6703bf56ba5,
-    0x6227cf76eee30353,
-    0x62e9fba029578b05,
-    0x262ccc3ecf26d111,
-    0x0d3297147da03036,
-    0x465a1fb804dd85af,
-    0x1b79e2d5597514fa,
-    0x6aec2286a33d1e19,
-    0xdc3a8ab5abb9f8dc,
-    0x54f70cf97190c3bb,
-    0x241c05092dd4a389,
-    0xab0aa0e3429a857c,
-    0xb728304cb22f90eb,
-    0x29729c7d16210699,
-    0xff86658bdadcf04b,
-    0xead4a1153a295d80,
-    0xd5d10348bf7a9204,
-    0x383215380dd359cf,
+    0x8cd7454ee3340d65,
+    0x35ab246a74c0ac62,
+    0x051376c7b55971bc,
+    0xb5bc970642d27f76,
+    0xd4617e2046db177b,
+    0xdcece64c592ea056,
+    0xf2e1734ba4d2fbe3,
+    0xecd968bbe26c8900,
+    0x3f3f5f6d67866337,
+    0x4f1ff58a496897f7,
+    0x016f319889ca41df,
+    0x678744dc3b4574f3,
+    0xc30d62fa712f6df3,
+    0x8f39a7a0e819f95c,
+    0xb37a540eaef34c8b,
+    0xcf8c6341311b9982,
+    0xdc0f0b2b6bcef023,
+    0x0aa3b2171b736c1d,
+    0x13e343e8db0156a7,
+    0x70b76e74bb888db8,
+    0x9fec8eed21336fb4,
+    0x0bc8b28444cb7dad,
+    0xfadd4e23e9e23e34,
+    0xd181a8baa8ef41da,
+    0xf38caf661c1aa197,
+    0xe2f444b26c1d1a23,
+    0x53993af7ee86030c,
+    0x558f7cd547f5b882,
+    0xf636ffa822c2fca5,
+    0x729f1c9453f45a8e,
+    0x00db478da982f67e,
+    0x05f703c00a410c85,
+    0xc39b052a84481c51,
+    0xb4f76d67c30bf2f3,
+    0x0a362054090a58d4,
+    0x2169785b190a20e8,
+    0xa742e3eb6f8533af,
+    0xdb0a1e068d8d0cd2,
+    0x5ec50369cfc8acad,
+    0x1514d7db815e2d9b,
+    0x3f3e2db93e14a748,
+    0x2fdf1db25b05ceed,
+    0xdaa1da5a3c0abc44,
+    0xde7a433cd9254f5f,
+    0x258f17bf44035608,
+    0x7d0ceed0b2545ed9,
+    0x7cb685e975dd73df,
+    0xef14205cdd23b606,
+    0x114b24fb14d47ce3,
+    0xfdf8089efe1bc556,
+    0x989c2bc58f977038,
+    0x7ae3159a2065a801,
+    0x0d7595eb19d5af0a,
+    0xfdc5b6c8560533bf,
+    0x22508774fa5be27e,
+    0x81a431405d76b0cd,
+    0xf192ba8b20cb4775,
+    0x5ab5269a30a7a727,
+    0x7e1d098514b5cc59,
+    0x31a0f204eb226c68,
+    0x7716132f53ca9542,
+    0xa9f1ff31a95c6964,
+    0x7f8b69b71379ad88,
+    0x76f31bdeadff618d,
+    0x1a7262ebfbf38373,
+    0xe460b976e9d7517e,
+    0x785b2d039e0d05a8,
+    0xa6c13b6b018ed24f,
+    0x318dc1516e50a6bf,
+    0x40586b24eb17e7d0,
+    0x617558167d1613be,
+    0x3df9a66ea4158bc3,
+    0x46a00d4050a7928a,
+    0x5761ca193cb3ad0c,
+    0xd480841a33f8d2bd,
+    0xa7a9499d6f9c2842,
+    0xff14708d57c90c8f,
+    0xe70d50975b751a2b,
+    0x38b444f5434d993c,
+    0xeb6c41325ebdab8f,
+    0x132ee85632caed70,
+    0x6be4ea6c28d01f7a,
+    0x949fdf36dde3a4fb,
+    0x8ba28dbcb92b309a,
+    0x8b9f9bcc2fcf1c53,
+    0xf03629c3ce8c144b,
+    0x1669c992aaf5d893,
+    0x9f6617a9e2eab5fb,
+    0x08fe87e47c96fd1a,
+    0x4845d7424d03e457,
+    0x87df57f5c66864e1,
+    0x0f690f1ddb3ca8c3,
+    0x717357c42015fdff,
+    0xb83435c357e8c8af,
+    0x3fed53abf8d07eac,
+    0x66fedbfba1f9818b,
+    0xaedd611b2d821738,
+    0xc7e5a65c7049da6f,
+    0x5b79bea5fe3a8725,
+    0x9503f4992a337e52,
+    0xb18f6be7c9c7616e,
+    0xe13d7d388fe1be97,
+    0xbdca27b46f9d9906,
+    0xc727b82190e6923e,
+    0xe79c0d3e9a73bc63,
+    0xd495f91009e28846,
+    0x2df68ae63485e453,
+    0x2b561db713645b1c,
+    0x1ff19092cf2f1783,
+    0x78dbff608bf5fe8a,
+    0xaa0f5dd9ec6f7119,
+    0x2d2a197672fbf0d2,
+    0x2b23ff5ab5db6d35,
+    0x1312a7bab6333655,
+    0xface588ba13f55ab,
+    0x89b9d19f18b72567,
+    0x3023645e11dce859,
+    0x9a4cbbcef50347cc,
+    0x5460ba0e353f7b7a,
+    0x225f0c6087bd6074,
+    0xaf41ed88839bd898,
+    0xa488c7e20bad4c31,
+    0xdba6a28133c4593d,
+    0xddd0f3a5db077b07,
+    0xc341c583f7998650,
+    0x1240d1f9dfdb5c44,
+    0x7ef3da76a3dc4ec9,
+    0x329b76cba73858c5,
+    0x8cd7454ee3340d65,
+    0x0b21d2b6236ecea7,
+    0xa95c43ba308f7eae,
+    0x36e6a25e57d547a9,
+    0xc5f2c1b3b47f6854,
+    0x8eba281ec58fbc9c,
+    0x5a27959bb5f72a6a,
+    0xfaf623fd3d59daaf,
+    0xce4393b39ef68daf,
+    0x0ee132188a09cd8d,
+    0x15fa62cf92465adc,
+    0x03fab92f222e58b1,
+    0xb26b247f4eced160,
+    0xd696871d96fd9721,
+    0xe9bf43f57000193f,
+    0x1d4a29804bf52f88,
+    0x16829800c6591a75,
+    0x1d4fbf770675d02c,
+    0x1c8ec31a3c6a044e,
+    0xb5d47064de90264d,
+    0xea1267dc629771b0,
+    0xa50df545bb943191,
+    0xf0310fddc9d80191,
+    0x4fc79b0699122ead,
+    0xa46f6aba265cced8,
+    0x5a8deefccc75c598,
+    0x93162d20821d57eb,
+    0x48556cfc01b7fa51,
+    0x8090c62778c1bb04,
+    0x02e23d8a0c62d150,
+    0xd1de50bc24603bfa,
+    0x27443d6fbd0779e5,
+    0xe079b3362ada13ba,
+    0x7f4c3a08d7e343da,
+    0x3c2def0ce5611933,
+    0x031643e4472ee3c9,
+    0x96cf3ba9a9276cbb,
+    0x0c2e891536544fc5,
+    0xb443a91cbb6ec4e9,
+    0x48212dcc15b22b46,
+    0xc08aedb22fcb147c,
+    0xa57a4dd1667f505f,
+    0xa1d82336e90cd2c2,
+    0x36f754a0b7ca74ab,
+    0x3c6ce2fe6bada7cd,
+    0x92a608987d7a8882,
+    0xdbfc03652c2daf5d,
+    0xfa280f195a7cef62,
+    0x417c8b988c38d94a,
+    0x52bd23702c740a64,
+    0x1d1db68c32dac8bd,
+    0x577866118a55e781,
+    0x0472219bf3ef49e7,
+    0xc3aee40862cee033,
+    0xbae497e14dc5b067,
+    0x181a25a8343989dd,
+    0x90e5c5d088686681,
+    0x7d2a090e02a42a55,
+    0x4f57a61d7707b349,
+    0x629a1b622801820a,
+    0x40ae55a2f680ae98,
+    0x68b7386b49af52af,
+    0x5c8eabe1eebd1380,
+    0x9c5bb560dc6b39e6,
+    0x1e66dad9a995b22d,
+    0x8e44ecd7faf70423,
+    0x809ecd2c926860d7,
+    0x71ca07828472d66f,
+    0xf38fd1b1e49de74e,
+    0xf9e2812accb21f1a,
+    0x25789caad8a90ca8,
+    0x571272a3fea88397,
+    0x81467c643cad8df3,
+    0x8b8aaa700e0b8656,
+    0x6bb199b53558c84d,
+    0xd523c10393e99ed5,
+    0x73dcdceb8b58ddcd,
+    0x6daf49b9b5ac7319,
+    0xd9522370032c19bd,
+    0xdc1756a9ec4040ae,
+    0xfe086c9cc1bae5fe,
+    0x83bfde2c97e3f27c,
+    0xe788cc2a9d5a0b4c,
+    0x9cedf6d13c7e15ee,
+    0x4600f62d72922c54,
+    0x2949ade87a601629,
+    0x45443fd2e8df6b05,
+    0x67d35f7450480684,
+    0x5af25b21348dd9ca,
+    0xe85be1a11a1864a3,
+    0x082a4f343758977e,
+    0x17b9a11d59a9ff5a,
+    0xc9d4d299939708b2,
+    0x90861c803e7f4488,
+    0x44262fe31744ca30,
+    0x7505e91f55299019,
+    0x659e1bae9bcaa37f,
+    0xa93a89d10882dceb,
+    0x80a464dd9cee27fd,
+    0x1131b7120ac42c0d,
+    0xe3f728a5b37fd9c0,
+    0xb344cf0b5f02c932,
+    0x20d989fc691b8f2a,
+    0x44f1ade697b119cf,
+    0x224e0b870cf1f6e2,
+    0x4ce4069af1c148ab,
+    0x2cda0d9c9d9ac46a,
+    0xc1a04fceee3f2b92,
+    0x5f4a2d5a45f332ba,
+    0x9552eb80396fdc91,
+    0x80b6c4e93e29b544,
+    0x2574a5ba586ec2e8,
+    0x85fcd117f95b4bcf,
+    0x274786ae2ffca9e7,
+    0x30efc9e941077f82,
+    0x84859d0ab16fcf00,
+    0xe38dd87e3e317afc,
+    0x3189daaacdb155f7,
+    0xdb9601f68c6779fa,
+    0x1561b44042688abb,
+    0x930444b4d7de59c7,
+    0x8db707771c9d0e3a,
+    0x1d1a0b0c6cf9c75f,
+    0x36224d5797d3a974,
+    0x96cf5ba86a3d377d,
+    0x41d2600ac98c4536,
+    0x888e77aa2e3ca2a1,
+    0xb44f00a7d2de76d7,
 ];
