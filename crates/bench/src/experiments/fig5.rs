@@ -35,12 +35,12 @@ impl Experiment for Fig5FaasRefarch {
             let mut platform = FaasPlatform::new(policy, seed);
             deploy(&mut platform);
             let invocations = poisson_invocations("proc", 0.05, SimTime::from_secs(8 * 3600), seed);
-            let r = platform.run(invocations);
+            let (r, latency) = platform.run(invocations);
             rows.push(vec![
                 window_secs.to_string(),
                 f(r.cold_fraction, 3),
-                f(r.latency.as_ref().map(|l| l.p50).unwrap_or(0.0), 2),
-                f(r.latency.as_ref().map(|l| l.p95).unwrap_or(0.0), 2),
+                f(latency.as_ref().map(|l| l.p50).unwrap_or(0.0), 2),
+                f(latency.as_ref().map(|l| l.p95).unwrap_or(0.0), 2),
                 f(r.billed_gb_secs, 0),
                 f(r.provider_gb_secs, 0),
                 r.peak_instances.to_string(),
@@ -62,7 +62,7 @@ impl Experiment for Fig5FaasRefarch {
             let invocations: Vec<Invocation> = (0..burst)
                 .map(|_| Invocation { function: "api".into(), at: SimTime::from_secs(1) })
                 .collect();
-            let r = platform.run(invocations);
+            let (r, _) = platform.run(invocations);
             rows.push(vec![
                 burst.to_string(),
                 r.peak_instances.to_string(),

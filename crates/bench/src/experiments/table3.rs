@@ -198,11 +198,11 @@ impl Experiment for Table3Challenges {
             let invs = poisson_invocations("api", 0.1, SimTime::from_secs(4 * 3600), seed);
             let mut none = FaasPlatform::new(KeepAlivePolicy::None, seed);
             none.deploy(FunctionSpec::api_handler("api"));
-            let r_none = none.run(invs.clone());
+            let (r_none, _) = none.run(invs.clone());
             let mut pool =
                 FaasPlatform::new(KeepAlivePolicy::Fixed(SimDuration::from_mins(10)), seed);
             pool.deploy(FunctionSpec::api_handler("api"));
-            let r_pool = pool.run(invs);
+            let (r_pool, _) = pool.run(invs);
             rows.push(vec![
                 "C8 XaaS".into(),
                 "FaaS cold-start fraction, no pool vs 10-min keep-alive".into(),

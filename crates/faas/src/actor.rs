@@ -472,7 +472,7 @@ impl<'a, M> FaasActor<'a, M> {
             "faas",
             "invoke",
             &[
-                ("function", Field::Str(&result.function)),
+                ("function", Field::Str(function)),
                 ("cold", Field::Bool(result.cold)),
                 ("latency_secs", Field::F64(result.latency_secs)),
             ],

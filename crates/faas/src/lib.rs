@@ -21,10 +21,11 @@
 //!     KeepAlivePolicy::Fixed(SimDuration::from_secs(600)), 42,
 //! );
 //! platform.deploy(FunctionSpec::api_handler("hello"));
-//! let report = platform.run(poisson_invocations(
+//! let (report, latency) = platform.run(poisson_invocations(
 //!     "hello", 1.0, SimTime::from_secs(600), 42,
 //! ));
 //! assert!(report.cold_fraction < 0.2);
+//! assert_eq!(latency.map(|l| l.count), Some(report.invocations));
 //! ```
 
 pub mod actor;

@@ -80,8 +80,6 @@ pub struct Invocation {
 /// The result of one invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InvocationResult {
-    /// Which function ran.
-    pub function: String,
     /// Arrival instant.
     pub at: SimTime,
     /// Completion instant.
@@ -94,15 +92,15 @@ pub struct InvocationResult {
     pub exec_secs: f64,
 }
 
-/// Platform-level metrics of one run.
+/// Platform-level totals of one run. Every field is a counter or a sum the
+/// platform keeps as it goes, so the report costs the same memory whatever
+/// the run's length.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PlatformReport {
-    /// All invocation results, in completion order per function.
-    pub invocations: Vec<InvocationResult>,
+    /// Invocations the platform executed, failed ones included.
+    pub invocations: u64,
     /// Fraction of invocations that cold-started.
     pub cold_fraction: f64,
-    /// Latency distribution, seconds.
-    pub latency: Option<Summary>,
     /// GB-seconds billed to customers (execution only).
     pub billed_gb_secs: f64,
     /// GB-seconds of provider-side instance lifetime (including idle
@@ -119,17 +117,24 @@ struct Instance {
     last_used: SimTime,
 }
 
+/// A deployed function and its live instance pool.
+#[derive(Debug)]
+struct Deployed {
+    spec: FunctionSpec,
+    pool: Vec<Instance>,
+}
+
 /// The FaaS platform simulator. Instance pools persist across calls, so
 /// warmth carries over between [`FaasPlatform::invoke`] calls and workflow
 /// stages; [`FaasPlatform::run`] finalizes and resets the platform.
 #[derive(Debug)]
 pub struct FaasPlatform {
-    functions: HashMap<String, FunctionSpec>,
+    functions: HashMap<String, Deployed>,
     keep_alive: KeepAlivePolicy,
     rng: RngStream,
-    pools: HashMap<String, Vec<Instance>>,
     last_invoke_at: SimTime,
-    log: Vec<InvocationResult>,
+    invocations: u64,
+    cold_starts: u64,
     billed: f64,
     provider: f64,
     lifetime_events: Vec<(SimTime, i64)>,
@@ -143,9 +148,9 @@ impl FaasPlatform {
             functions: HashMap::new(),
             keep_alive,
             rng: RngStream::new(seed, "faas"),
-            pools: HashMap::new(),
             last_invoke_at: SimTime::ZERO,
-            log: Vec::new(),
+            invocations: 0,
+            cold_starts: 0,
             billed: 0.0,
             provider: 0.0,
             lifetime_events: Vec::new(),
@@ -158,8 +163,9 @@ impl FaasPlatform {
     /// # Panics
     /// Panics when a function with the same name is already deployed.
     pub fn deploy(&mut self, spec: FunctionSpec) {
+        let deployed = Deployed { spec, pool: Vec::new() };
         assert!(
-            self.functions.insert(spec.name.clone(), spec).is_none(),
+            self.functions.insert(deployed.spec.name.clone(), deployed).is_none(),
             "function already deployed"
         );
     }
@@ -201,12 +207,10 @@ impl FaasPlatform {
         );
         self.last_invoke_at = at;
         let window = self.keep_alive.window();
-        let spec = self
+        let Deployed { spec, pool } = self
             .functions
-            .get(function)
-            .unwrap_or_else(|| panic!("unknown function {function}"))
-            .clone();
-        let pool = self.pools.entry(function.to_owned()).or_default();
+            .get_mut(function)
+            .unwrap_or_else(|| panic!("unknown function {function}"));
         // Expire idle instances beyond the keep-alive window.
         let (provider, events) = (&mut self.provider, &mut self.lifetime_events);
         pool.retain(|i| {
@@ -243,32 +247,36 @@ impl FaasPlatform {
             }
         }
         self.billed += spec.memory_gb * exec;
-        let result = InvocationResult {
-            function: function.to_owned(),
+        self.invocations += 1;
+        self.cold_starts += u64::from(cold);
+        InvocationResult {
             at,
             finished: finish,
             cold,
             latency_secs: (finish - at).as_secs_f64(),
             exec_secs: exec,
-        };
-        self.log.push(result.clone());
-        result
+        }
     }
 
     /// Runs a chronologically sorted invocation stream through the
     /// discrete-event engine, then finalizes the platform (drains pools,
-    /// closes billing) and returns the report.
+    /// closes billing) and returns the report with the exact end-to-end
+    /// latency distribution of the run, in seconds (`None` for an empty
+    /// stream).
     ///
     /// This is a thin wrapper: it registers a single [`FaasActor`] in a
     /// [`Simulation`], schedules one [`FaasMsg::Invoke`] per invocation, and
-    /// runs to quiescence.
+    /// runs to quiescence. The latencies are the ones the actor's response
+    /// hook sees, in invocation order.
     ///
     /// # Panics
     /// Panics when an invocation names an unknown function.
-    pub fn run(&mut self, mut invocations: Vec<Invocation>) -> PlatformReport {
+    pub fn run(&mut self, mut invocations: Vec<Invocation>) -> (PlatformReport, Option<Summary>) {
         invocations.sort_by_key(|i| i.at);
         let seed = self.seed;
-        let mut actor = FaasActor::new(self);
+        let mut latencies = Vec::with_capacity(invocations.len());
+        let mut actor =
+            FaasActor::new(self).with_response_hook(|_, latency| latencies.push(latency));
         let mut sim: Simulation<'_, FaasMsg> = Simulation::new(seed);
         let id = sim.add_actor(&mut actor);
         for inv in invocations {
@@ -277,19 +285,34 @@ impl FaasPlatform {
         sim.run();
         drop(sim);
         drop(actor);
-        self.finish()
+        let report = self.finish();
+        // Without resilience every platform invocation succeeds and answers.
+        debug_assert_eq!(latencies.len() as u64, report.invocations);
+        (report, Summary::of(&latencies))
     }
 
     /// Instances currently executing an invocation at instant `at`.
     pub fn busy_instances(&self, at: SimTime) -> usize {
-        self.pools.values().flatten().filter(|i| i.free_at > at).count()
+        self.instances().filter(|i| i.free_at > at).count()
     }
 
     /// Instances idle (warm, not executing) at instant `at`, including any
     /// whose keep-alive window has lapsed but which have not yet been
     /// reclaimed by the lazy expiry in [`FaasPlatform::invoke`].
     pub fn idle_instances(&self, at: SimTime) -> usize {
-        self.pools.values().flatten().filter(|i| i.free_at <= at).count()
+        self.instances().filter(|i| i.free_at <= at).count()
+    }
+
+    fn instances(&self) -> impl Iterator<Item = &Instance> {
+        self.functions.values().flat_map(|f| &f.pool)
+    }
+
+    /// Deployed function names in sorted order, so per-pool cost sums do
+    /// not depend on hash-map iteration order.
+    fn sorted_names(&self) -> Vec<String> {
+        let mut names: Vec<String> = self.functions.keys().cloned().collect();
+        names.sort_unstable();
+        names
     }
 
     /// Reclaims expired idle instances across every pool, charging each to
@@ -297,18 +320,14 @@ impl FaasPlatform {
     /// so a failure never "kills" an instance that had already lapsed.
     pub fn expire_idle(&mut self, at: SimTime) {
         let window = self.keep_alive.window();
-        let mut names: Vec<&String> = self.pools.keys().collect();
-        names.sort_unstable();
-        let names: Vec<String> = names.into_iter().cloned().collect();
-        for name in names {
-            let spec_gb = self.functions[&name].memory_gb;
-            let pool = self.pools.get_mut(&name).expect("pool exists");
+        for name in self.sorted_names() {
+            let Deployed { spec, pool } = self.functions.get_mut(&name).expect("deployed");
             let (provider, events) = (&mut self.provider, &mut self.lifetime_events);
             pool.retain(|i| {
                 let expired = i.free_at <= at && (at - i.free_at) > window;
                 if expired {
                     let end = i.free_at + window;
-                    *provider += spec_gb * (end - i.started_at).as_secs_f64();
+                    *provider += spec.memory_gb * (end - i.started_at).as_secs_f64();
                     events.push((i.started_at, 1));
                     events.push((end, -1));
                 }
@@ -325,8 +344,8 @@ impl FaasPlatform {
     pub fn kill_idle(&mut self, at: SimTime, count: usize) -> usize {
         self.expire_idle(at);
         let mut candidates: Vec<(SimTime, String, usize)> = Vec::new();
-        for (name, pool) in &self.pools {
-            for (idx, inst) in pool.iter().enumerate() {
+        for (name, f) in &self.functions {
+            for (idx, inst) in f.pool.iter().enumerate() {
                 if inst.free_at <= at {
                     candidates.push((inst.last_used, name.clone(), idx));
                 }
@@ -344,13 +363,12 @@ impl FaasPlatform {
         let mut names: Vec<String> = by_pool.keys().cloned().collect();
         names.sort_unstable();
         for name in names {
-            let spec_gb = self.functions[&name].memory_gb;
             let mut idxs = by_pool.remove(&name).expect("victims exist");
             idxs.sort_unstable_by(|a, b| b.cmp(a));
-            let pool = self.pools.get_mut(&name).expect("pool exists");
+            let Deployed { spec, pool } = self.functions.get_mut(&name).expect("deployed");
             for idx in idxs {
                 let inst = pool.remove(idx);
-                self.provider += spec_gb * (at - inst.started_at).as_secs_f64();
+                self.provider += spec.memory_gb * (at - inst.started_at).as_secs_f64();
                 self.lifetime_events.push((inst.started_at, 1));
                 self.lifetime_events.push((at, -1));
             }
@@ -359,15 +377,12 @@ impl FaasPlatform {
     }
 
     /// Finalizes the platform: closes every live instance at its keep-alive
-    /// expiry, computes totals, and resets pools and logs for reuse.
+    /// expiry, computes totals, and resets pools and counters for reuse.
     pub fn finish(&mut self) -> PlatformReport {
         let window = self.keep_alive.window();
-        let mut names: Vec<String> = self.pools.keys().cloned().collect();
-        names.sort_unstable();
-        for name in names {
-            let pool = self.pools.remove(&name).expect("pool exists");
-            let spec = &self.functions[&name];
-            for i in pool {
+        for name in self.sorted_names() {
+            let Deployed { spec, pool } = self.functions.get_mut(&name).expect("deployed");
+            for i in pool.drain(..) {
                 let end = i.free_at + window;
                 self.provider += spec.memory_gb * (end - i.started_at).as_secs_f64();
                 self.lifetime_events.push((i.started_at, 1));
@@ -382,21 +397,19 @@ impl FaasPlatform {
             level += d;
             peak = peak.max(level);
         }
-        let results = std::mem::take(&mut self.log);
-        let cold_count = results.iter().filter(|r| r.cold).count();
-        let latencies: Vec<f64> = results.iter().map(|r| r.latency_secs).collect();
         let report = PlatformReport {
-            cold_fraction: if results.is_empty() {
+            invocations: self.invocations,
+            cold_fraction: if self.invocations == 0 {
                 0.0
             } else {
-                cold_count as f64 / results.len() as f64
+                self.cold_starts as f64 / self.invocations as f64
             },
-            latency: Summary::of(&latencies),
             billed_gb_secs: self.billed,
             provider_gb_secs: self.provider,
             peak_instances: peak as usize,
-            invocations: results,
         };
+        self.invocations = 0;
+        self.cold_starts = 0;
         self.billed = 0.0;
         self.provider = 0.0;
         self.last_invoke_at = SimTime::ZERO;
@@ -438,21 +451,35 @@ mod tests {
     #[test]
     fn first_invocation_is_cold_second_is_warm() {
         let mut p = platform(KeepAlivePolicy::Fixed(SimDuration::from_secs(600)));
-        let report = p.run(vec![
+        let first = p.invoke("api", SimTime::from_secs(0));
+        let second = p.invoke("api", SimTime::from_secs(10));
+        assert!(first.cold);
+        assert!(!second.cold);
+        assert!(first.latency_secs > second.latency_secs);
+        let report = p.finish();
+        assert_eq!(report.invocations, 2);
+        assert_eq!(report.cold_fraction, 0.5);
+    }
+
+    #[test]
+    fn run_summarizes_every_invocation_latency() {
+        let mut p = platform(KeepAlivePolicy::Fixed(SimDuration::from_secs(600)));
+        let (report, latency) = p.run(vec![
             Invocation { function: "api".into(), at: SimTime::from_secs(0) },
             Invocation { function: "api".into(), at: SimTime::from_secs(10) },
         ]);
-        assert_eq!(report.invocations.len(), 2);
-        assert!(report.invocations[0].cold);
-        assert!(!report.invocations[1].cold);
-        assert!(report.invocations[0].latency_secs > report.invocations[1].latency_secs);
+        let latency = latency.expect("two invocations");
+        assert_eq!((report.invocations, latency.count), (2, 2));
+        // The cold start dominates the slower of the two.
+        assert!(latency.max > 0.8 && latency.min < 0.8, "{latency:?}");
+        assert_eq!(p.run(Vec::new()), (PlatformReport::default(), None));
     }
 
     #[test]
     fn no_keep_alive_means_all_cold() {
         let mut p = platform(KeepAlivePolicy::None);
         let invs = poisson_invocations("api", 0.2, SimTime::from_secs(600), 3);
-        let report = p.run(invs);
+        let (report, _) = p.run(invs);
         assert_eq!(report.cold_fraction, 1.0);
     }
 
@@ -461,8 +488,8 @@ mod tests {
         let invs = poisson_invocations("api", 0.05, SimTime::from_secs(4 * 3600), 5);
         let mut short = platform(KeepAlivePolicy::Fixed(SimDuration::from_secs(10)));
         let mut long = platform(KeepAlivePolicy::Fixed(SimDuration::from_secs(1800)));
-        let r_short = short.run(invs.clone());
-        let r_long = long.run(invs);
+        let (r_short, _) = short.run(invs.clone());
+        let (r_long, _) = long.run(invs);
         assert!(
             r_long.cold_fraction < r_short.cold_fraction * 0.6,
             "long {} vs short {}",
@@ -481,7 +508,7 @@ mod tests {
         let invs: Vec<Invocation> = (0..10)
             .map(|_| Invocation { function: "api".into(), at: SimTime::from_secs(1) })
             .collect();
-        let report = p.run(invs);
+        let (report, _) = p.run(invs);
         assert_eq!(report.cold_fraction, 1.0);
         assert!(report.peak_instances >= 10);
     }

@@ -447,7 +447,7 @@ impl<'a, M: MessageEnvelope<NetMsg>> NetActor<'a, M> {
         let ideal_xfer = if links.is_empty() {
             0.0
         } else {
-            req.bytes as f64 / self.topo.base_bottleneck(req.src, req.dst)
+            req.bytes as f64 / self.topo.base_bottleneck(&links)
         };
         let ideal_secs = ideal_xfer + latency.as_secs_f64();
         self.flows.push(ActiveFlow {

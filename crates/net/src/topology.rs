@@ -153,13 +153,11 @@ impl NetTopology {
         (0..self.links()).map(|l| self.effective_capacity(l as LinkId)).collect()
     }
 
-    /// The smallest nominal capacity along `src → dst` — the uncontended,
-    /// fault-free bottleneck used for ideal-transfer-time accounting.
-    pub fn base_bottleneck(&self, src: u32, dst: u32) -> f64 {
-        self.path(src, dst)
-            .iter()
-            .map(|&l| self.base_capacity(l))
-            .fold(f64::INFINITY, f64::min)
+    /// The smallest nominal capacity along `path` (as built by
+    /// [`NetTopology::path`]) — the uncontended, fault-free bottleneck used
+    /// for ideal-transfer-time accounting. Infinite for an empty path.
+    pub fn base_bottleneck(&self, path: &[LinkId]) -> f64 {
+        path.iter().map(|&l| self.base_capacity(l)).fold(f64::INFINITY, f64::min)
     }
 
     /// Partitions `node` off the fabric: its access link carries nothing
@@ -281,8 +279,8 @@ mod tests {
     fn ideal_bottleneck_ignores_faults() {
         let mut t = topo();
         t.cut_node(0);
-        assert_eq!(t.base_bottleneck(0, 5), 100.0);
-        assert_eq!(t.base_bottleneck(0, 0), f64::INFINITY);
+        assert_eq!(t.base_bottleneck(&t.path(0, 5)), 100.0);
+        assert_eq!(t.base_bottleneck(&t.path(0, 0)), f64::INFINITY);
     }
 
     #[test]

@@ -50,12 +50,12 @@ fn main() {
         deploy(&mut p);
         let invocations =
             poisson_invocations("transcode", 0.05, SimTime::from_secs(8 * 3600), 5);
-        let report = p.run(invocations);
+        let (report, latency) = p.run(invocations);
         println!(
             "{:>11}s {:>12.3} {:>11.2}s {:>14.1} {:>14.1}",
             window_secs,
             report.cold_fraction,
-            report.latency.as_ref().map(|l| l.p95).unwrap_or(0.0),
+            latency.as_ref().map(|l| l.p95).unwrap_or(0.0),
             report.billed_gb_secs,
             report.provider_gb_secs,
         );

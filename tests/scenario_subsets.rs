@@ -87,12 +87,11 @@ fn digest(out: &ScenarioOutcome) -> u64 {
     let PlatformReport {
         invocations,
         cold_fraction,
-        latency: _,
         billed_gb_secs,
         provider_gb_secs,
         peak_instances,
     } = faas;
-    h.u64(invocations.len() as u64);
+    h.u64(*invocations);
     h.f64(*cold_fraction);
     h.f64(*billed_gb_secs);
     h.f64(*provider_gb_secs);
