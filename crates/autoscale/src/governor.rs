@@ -50,7 +50,6 @@ pub struct GovernorActor<'a, M> {
     interval_index: usize,
     intervals_per_day: usize,
     in_flight: usize,
-    decisions: usize,
     apply: CapacityDelta<'a, M>,
     on_shed: Option<ShedSignal<'a, M>>,
     shedding: bool,
@@ -76,7 +75,6 @@ impl<'a, M> GovernorActor<'a, M> {
             interval_index: 0,
             intervals_per_day,
             in_flight: 0,
-            decisions: 0,
             apply: Box::new(apply),
             on_shed: None,
             shedding: false,
@@ -96,11 +94,6 @@ impl<'a, M> GovernorActor<'a, M> {
         self
     }
 
-    /// Number of scaling decisions taken so far.
-    pub fn decisions(&self) -> usize {
-        self.decisions
-    }
-
     /// Whether load shedding is currently engaged.
     pub fn shedding(&self) -> bool {
         self.shedding
@@ -118,7 +111,6 @@ impl<'a, M> GovernorActor<'a, M> {
             intervals_per_day: self.intervals_per_day,
         };
         self.interval_index += 1;
-        self.decisions += 1;
         let raw = self.autoscaler.decide(&obs);
         let target = raw.clamp(self.config.min_instances, self.config.max_instances);
         ctx.emit_fields(
@@ -217,8 +209,7 @@ mod tests {
         sim.run();
         // +4 instances, 2 intervals (120 s) later.
         assert_eq!(*deltas.borrow(), vec![(SimTime::from_secs(120), 4)]);
-        drop(sim);
-        assert_eq!(gov.decisions(), 1);
+        assert_eq!(sim.trace().count("autoscale", "decision"), 1);
     }
 
     #[test]

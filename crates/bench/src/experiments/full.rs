@@ -3,8 +3,8 @@
 //! the gaming virtual world, and correlated failures — composed on one
 //! engine run (the paper's Fig. 1 full stack plus the Fig. 4 gaming
 //! world). Every report row is computed from the shared trace bus through
-//! the unified [`Subsystem`](mcs::core::subsystem::Subsystem) reporting
-//! surface; the cross-tenant section quantifies the interference channel
+//! [`tenant_reports`](mcs::core::subsystem::tenant_reports), one report per
+//! tenant; the cross-tenant section quantifies the interference channel
 //! (big-data shuffle windows pressuring graph supersteps and gaming zone
 //! capacity) that only exists because the subsystems share a simulation.
 
@@ -12,7 +12,6 @@ use crate::f;
 use mcs::core::scenario::{
     BigdataConfig, GamingConfig, GraphConfig, Scenario, ScenarioConfig, ScenarioOutcome,
 };
-use mcs::core::subsystem::full_stack;
 use mcs::prelude::*;
 use mcs::simcore::par;
 
@@ -101,12 +100,10 @@ impl Experiment for EcosystemFull {
 
         let out = run(seed);
 
-        // One uniform section per subsystem, all through the same
-        // `Subsystem::report` path over the same trace bus.
-        for subsystem in full_stack() {
-            let r = subsystem.report(&out.trace);
+        // One uniform section per tenant, all reduced from the same trace.
+        for r in tenant_reports(&out.trace) {
             let rows: Vec<Vec<String>> =
-                r.metrics.into_iter().map(|(m, v)| vec![m, f(v, 3)]).collect();
+                r.metrics.into_iter().map(|(m, v)| vec![m.to_owned(), f(v, 3)]).collect();
             report = report.with_section(
                 Section::new(format!("{} (from the shared trace bus)", r.name))
                     .table(&["metric", "value"], rows),

@@ -157,7 +157,6 @@ pub struct DataflowActor<'a, M> {
     machines: u32,
     dead_nodes: u64,
     jobs: Vec<Option<JobState>>,
-    completed: usize,
     on_shuffle: Option<ShuffleHook<'a, M>>,
     on_transfer: Option<TransferHook<'a, M>>,
 }
@@ -176,7 +175,6 @@ impl<'a, M: MessageEnvelope<BigdataMsg>> DataflowActor<'a, M> {
             machines: machines.max(1),
             dead_nodes: 0,
             jobs: Vec::new(),
-            completed: 0,
             on_shuffle: None,
             on_transfer: None,
         }
@@ -237,11 +235,6 @@ impl<'a, M: MessageEnvelope<BigdataMsg>> DataflowActor<'a, M> {
             sent += 1;
         }
         sent
-    }
-
-    /// Jobs that ran all their stages to completion.
-    pub fn completed(&self) -> usize {
-        self.completed
     }
 
     /// Compute slowdown from dead nodes: losing a fraction `f` of the fleet
@@ -419,7 +412,6 @@ impl<'a, M: MessageEnvelope<BigdataMsg>> DataflowActor<'a, M> {
             let makespan = (now - state.submitted).as_secs_f64();
             let stages = state.stage;
             self.jobs[job] = None;
-            self.completed += 1;
             ctx.emit_fields(
                 "bigdata",
                 "job_finish",

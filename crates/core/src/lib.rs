@@ -70,6 +70,6 @@ pub mod prelude {
     };
     pub use crate::selfaware::{Action, Analysis, EmergenceDetector, Knowledge, MapeLoop};
     pub use crate::sla::{Sla, SlaReport, Slo, SloOutcome};
-    pub use crate::subsystem::{Subsystem, SubsystemReport};
+    pub use crate::subsystem::{tenant_reports, SubsystemReport};
     pub use crate::transparency::{Audience, OperationalReport};
 }

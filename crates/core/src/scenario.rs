@@ -1104,37 +1104,38 @@ impl Scenario {
         let trace = sim.take_trace();
         drop(sim);
 
-        let faas = faas_actor.as_ref();
-        let gaming = gaming_actor.as_ref();
+        // Every count is read off the trace, which both sinks count exactly.
+        let count = |component, event| trace.count(component, event);
+        let n = |component, event| count(component, event) as u64;
         let dag = dag_actor.as_ref();
         let net = net_actor.as_ref();
         ScenarioOutcome {
             schedule: scheduler_actor.as_mut().map(|a| a.outcome()).unwrap_or_default(),
-            arrivals: arrival.as_ref().map_or(0, |a| a.count()),
-            invoked: faas.map_or(0, |a| a.invoked()),
-            rejected: faas.map_or(0, |a| a.rejected()),
-            invocations_failed: faas.map_or(0, |a| a.failed()),
-            shed: faas.map_or(0, |a| a.shed()),
-            retries_scheduled: faas.map_or(0, |a| a.retries_scheduled()),
-            final_capacity: faas.and_then(|a| a.capacity()).unwrap_or(0),
+            arrivals: count("workload", "arrival"),
+            invoked: n("faas", "invoke"),
+            rejected: n("faas", "reject"),
+            invocations_failed: n("faas", "invoke_failed"),
+            shed: n("faas", "shed"),
+            retries_scheduled: n("faas", "retry_scheduled"),
+            final_capacity: faas_actor.as_ref().and_then(|a| a.capacity()).unwrap_or(0),
             outages_generated,
-            outages_delivered: injector.as_ref().map_or(0, |i| i.delivered()),
-            governor_decisions: governor.as_ref().map_or(0, |g| g.decisions()),
-            bigdata_jobs: bigdata_actor.as_ref().map_or(0, |a| a.completed()),
-            graph_queries: graph_actor.as_ref().map_or(0, |a| a.completed()),
+            outages_delivered: count("failure", "outage"),
+            governor_decisions: count("autoscale", "decision"),
+            bigdata_jobs: count("bigdata", "job_finish"),
+            graph_queries: count("graph", "query_finish"),
             graph_stragglers: graph_actor.as_ref().map_or(0, |a| a.stragglers()),
-            gaming_admitted: gaming.map_or(0, |a| a.admitted()),
-            gaming_rejected: gaming.map_or(0, |a| a.rejected()),
-            gaming_disconnected: gaming.map_or(0, |a| a.disconnected()),
-            gaming_laggy_syncs: gaming.map_or(0, |a| a.laggy_syncs()),
-            dag_jobs_finished: dag.map_or(0, |a| a.jobs_finished()),
-            dag_tasks_finished: dag.map_or(0, |a| a.tasks_finished()),
+            gaming_admitted: n("gaming", "join"),
+            gaming_rejected: n("gaming", "reject"),
+            gaming_disconnected: n("gaming", "disconnect"),
+            gaming_laggy_syncs: gaming_actor.as_ref().map_or(0, |a| a.laggy_syncs()),
+            dag_jobs_finished: n("dag", "job_finish"),
+            dag_tasks_finished: n("dag", "task_finish"),
             dag_mean_makespan_secs: dag.map_or(0.0, |a| a.mean_makespan_secs()),
             dag_transfer_secs: dag.map_or(0.0, |a| a.transfer_secs()),
             dag_stall_secs: dag.map_or(0.0, |a| a.stall_secs()),
-            net_flows_started: net.map_or(0, |a| a.started()),
+            net_flows_started: n("net", "flow_start"),
             net_flows_delivered: net.map_or(0, |a| a.delivered()),
-            net_flows_aborted: net.map_or(0, |a| a.aborted()),
+            net_flows_aborted: n("net", "flow_aborted"),
             net_stall_secs: net.map_or(0.0, |a| a.stall_secs()),
             events_handled,
             trace,

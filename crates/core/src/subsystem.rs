@@ -1,23 +1,10 @@
-//! One shape for every subsystem: report from the trace.
+//! One report per tenant, reduced from the shared trace.
 //!
-//! Before this module, each subsystem kept its own legacy driver with its
-//! own signature — `faas::platform::FaasPlatform::run(Vec<Invocation>)`,
-//! `rms::scheduler::ClusterScheduler::run(Vec<Job>, SimTime)`,
-//! `rms::multicluster::Federation::run(Vec<Job>, SimTime)` — and its own
-//! bespoke outcome struct. Composed and standalone runs therefore had
-//! nothing in common: you could not take the batch slice of an ecosystem
-//! run and compare it like-for-like with a standalone scheduler run.
-//!
-//! [`Subsystem`] is the unified surface: [`Subsystem::report`] reduces the
-//! shared [`TraceBus`] to a [`SubsystemReport`], a flat list of named
-//! metrics. A composed run is built with `ScenarioConfig`'s `with_*`
-//! methods and validated once by `Scenario::try_new`; nothing changes its
-//! configuration afterwards.
-//!
-//! Because `report` reads only the trace (never a subsystem-private
-//! outcome), the same reporting code serves a standalone single-actor run
-//! and a composed full-stack run. What a subsystem did is exactly what it
-//! emitted; there is no side channel.
+//! [`tenant_reports`] reduces the shared [`TraceBus`] to one
+//! [`SubsystemReport`] per tenant: a flat list of named metrics. It reads
+//! only the trace, never a tenant-private outcome, so the same code reports
+//! a standalone single-actor run and a composed full-stack run. What a
+//! tenant did is exactly what it emitted; there is no side channel.
 //!
 //! Reports read only the mode-agnostic bus queries (`count`,
 //! `field_stats`), so a streaming bus reports the same values as a
@@ -27,207 +14,105 @@
 use mcs_simcore::codec::Json;
 use mcs_simcore::trace::TraceBus;
 
-/// What one subsystem measured, reduced from the shared trace: a flat list
-/// of named metrics, uniform across subsystems so reports can be tabulated,
-/// diffed, and asserted on without knowing which subsystem produced them.
+/// What one tenant measured, reduced from the shared trace: a flat list of
+/// named metrics, uniform across tenants so reports can be tabulated,
+/// diffed, and asserted on without knowing which tenant produced them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubsystemReport {
-    /// The reporting subsystem (its trace component name).
+    /// The reporting tenant (its trace component name).
     pub name: &'static str,
     /// `(metric, value)` rows, in presentation order.
-    pub metrics: Vec<(String, f64)>,
+    pub metrics: Vec<(&'static str, f64)>,
 }
 
 impl SubsystemReport {
     /// The value of `metric`, when present.
     pub fn get(&self, metric: &str) -> Option<f64> {
-        self.metrics.iter().find(|(m, _)| m == metric).map(|&(_, v)| v)
+        self.metrics.iter().find(|(m, _)| *m == metric).map(|&(_, v)| v)
     }
 }
 
-/// The unified subsystem surface: report from the shared trace.
-pub trait Subsystem {
-    /// The subsystem's name — also its component name on the trace bus.
-    fn name(&self) -> &'static str;
+/// Reduces the shared trace to one report per tenant of the full stack, in
+/// presentation order: batch, serverless, failures, bigdata, graph
+/// analytics and gaming. A tenant absent from the run reports zeros.
+pub fn tenant_reports(trace: &TraceBus) -> Vec<SubsystemReport> {
+    let count = |component, event| trace.count(component, event) as f64;
+    let mean = |component, event, field| {
+        trace.field_stats(component, event, field).map_or(0.0, |s| s.mean())
+    };
+    let report = |name, metrics| SubsystemReport { name, metrics };
 
-    /// Reduces the shared trace to this subsystem's metrics. Works on any
-    /// trace that carries the subsystem's component records: a composed
-    /// run or a standalone wrapper run.
-    fn report(&self, trace: &TraceBus) -> SubsystemReport;
-}
-
-/// The batch-computing subsystem (the legacy
-/// `ClusterScheduler::run(jobs, horizon)` surface).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Batch;
-
-impl Subsystem for Batch {
-    fn name(&self) -> &'static str {
-        "rms"
+    let mut graph = vec![
+        ("queries_finished", count("graph", "query_finish")),
+        ("mean_query_makespan_secs", mean("graph", "query_finish", "makespan_secs")),
+        ("supersteps", count("graph", "superstep_start")),
+    ];
+    // `straggler` is a Bool field, which no streaming rollup keeps.
+    if !trace.is_streaming() {
+        let stragglers = trace
+            .select("graph", "superstep_start")
+            .iter()
+            .filter(|e| matches!(e.payload.get("straggler"), Some(Json::Bool(true))))
+            .count();
+        graph.push(("straggler_supersteps", stragglers as f64));
     }
+    graph.push(("worker_fails", count("graph", "worker_fail")));
 
-    fn report(&self, trace: &TraceBus) -> SubsystemReport {
-        SubsystemReport {
-            name: self.name(),
-            metrics: vec![
-                ("jobs_arrived".to_owned(), trace.count("rms", "job_arrival") as f64),
-                ("tasks_started".to_owned(), trace.count("rms", "task_start") as f64),
-                ("tasks_finished".to_owned(), trace.count("rms", "task_finish") as f64),
-                ("machine_fails".to_owned(), trace.count("rms", "machine_fail") as f64),
-                (
-                    "failure_requeues".to_owned(),
-                    trace.count("rms", "requeue_scheduled") as f64,
-                ),
-                ("policy_ticks".to_owned(), trace.count("rms", "policy_tick") as f64),
+    let overload = trace.field_stats("gaming", "overload_end", "secs");
+    vec![
+        report(
+            "rms",
+            vec![
+                ("jobs_arrived", count("rms", "job_arrival")),
+                ("tasks_started", count("rms", "task_start")),
+                ("tasks_finished", count("rms", "task_finish")),
+                ("machine_fails", count("rms", "machine_fail")),
+                ("failure_requeues", count("rms", "requeue_scheduled")),
+                ("policy_ticks", count("rms", "policy_tick")),
             ],
-        }
-    }
-}
-
-/// The serverless subsystem (the legacy
-/// `FaasPlatform::run(invocations)` surface).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Serverless;
-
-impl Subsystem for Serverless {
-    fn name(&self) -> &'static str {
-        "faas"
-    }
-
-    fn report(&self, trace: &TraceBus) -> SubsystemReport {
-        let latency = trace.field_stats("faas", "invoke", "latency_secs");
-        SubsystemReport {
-            name: self.name(),
-            metrics: vec![
-                ("invocations".to_owned(), trace.count("faas", "invoke") as f64),
-                ("mean_latency_secs".to_owned(), latency.map_or(0.0, |s| s.mean())),
-                ("rejected".to_owned(), trace.count("faas", "reject") as f64),
-                ("failed".to_owned(), trace.count("faas", "invoke_failed") as f64),
-                ("warm_pool_kills".to_owned(), trace.count("faas", "kill_warm") as f64),
-                ("scale_actions".to_owned(), trace.count("faas", "scale") as f64),
+        ),
+        report(
+            "faas",
+            vec![
+                ("invocations", count("faas", "invoke")),
+                ("mean_latency_secs", mean("faas", "invoke", "latency_secs")),
+                ("rejected", count("faas", "reject")),
+                ("failed", count("faas", "invoke_failed")),
+                ("warm_pool_kills", count("faas", "kill_warm")),
+                ("scale_actions", count("faas", "scale")),
             ],
-        }
-    }
-}
-
-/// The correlated-failure subsystem.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Failures;
-
-impl Subsystem for Failures {
-    fn name(&self) -> &'static str {
-        "failure"
-    }
-
-    fn report(&self, trace: &TraceBus) -> SubsystemReport {
-        SubsystemReport {
-            name: self.name(),
-            metrics: vec![
-                ("outages".to_owned(), trace.count("failure", "outage") as f64),
-                ("repairs".to_owned(), trace.count("failure", "repair") as f64),
+        ),
+        report(
+            "failure",
+            vec![
+                ("outages", count("failure", "outage")),
+                ("repairs", count("failure", "repair")),
             ],
-        }
-    }
-}
-
-/// The MapReduce/dataflow subsystem.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Bigdata;
-
-impl Subsystem for Bigdata {
-    fn name(&self) -> &'static str {
-        "bigdata"
-    }
-
-    fn report(&self, trace: &TraceBus) -> SubsystemReport {
-        let makespan = trace.field_stats("bigdata", "job_finish", "makespan_secs");
-        let stage = trace.field_stats("bigdata", "stage_finish", "secs");
-        SubsystemReport {
-            name: self.name(),
-            metrics: vec![
-                ("jobs_finished".to_owned(), trace.count("bigdata", "job_finish") as f64),
-                ("mean_job_makespan_secs".to_owned(), makespan.map_or(0.0, |s| s.mean())),
-                ("mean_stage_secs".to_owned(), stage.map_or(0.0, |s| s.mean())),
-                ("node_fails".to_owned(), trace.count("bigdata", "node_fail") as f64),
-                (
-                    "re_replications".to_owned(),
-                    trace.count("bigdata", "re_replicate") as f64,
-                ),
+        ),
+        report(
+            "bigdata",
+            vec![
+                ("jobs_finished", count("bigdata", "job_finish")),
+                ("mean_job_makespan_secs", mean("bigdata", "job_finish", "makespan_secs")),
+                ("mean_stage_secs", mean("bigdata", "stage_finish", "secs")),
+                ("node_fails", count("bigdata", "node_fail")),
+                ("re_replications", count("bigdata", "re_replicate")),
             ],
-        }
-    }
-}
-
-/// The graph-analytics subsystem.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GraphAnalytics;
-
-impl Subsystem for GraphAnalytics {
-    fn name(&self) -> &'static str {
-        "graph"
-    }
-
-    fn report(&self, trace: &TraceBus) -> SubsystemReport {
-        let makespan = trace.field_stats("graph", "query_finish", "makespan_secs");
-        let mut metrics = vec![
-            ("queries_finished".to_owned(), trace.count("graph", "query_finish") as f64),
-            ("mean_query_makespan_secs".to_owned(), makespan.map_or(0.0, |s| s.mean())),
-            ("supersteps".to_owned(), trace.count("graph", "superstep_start") as f64),
-        ];
-        // `straggler` is a Bool field, which no streaming rollup keeps.
-        if !trace.is_streaming() {
-            let stragglers = trace
-                .select("graph", "superstep_start")
-                .iter()
-                .filter(|e| matches!(e.payload.get("straggler"), Some(Json::Bool(true))))
-                .count();
-            metrics.push(("straggler_supersteps".to_owned(), stragglers as f64));
-        }
-        metrics.push(("worker_fails".to_owned(), trace.count("graph", "worker_fail") as f64));
-        SubsystemReport { name: self.name(), metrics }
-    }
-}
-
-/// The gaming virtual-world subsystem.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Gaming;
-
-impl Subsystem for Gaming {
-    fn name(&self) -> &'static str {
-        "gaming"
-    }
-
-    fn report(&self, trace: &TraceBus) -> SubsystemReport {
-        let overload = trace.field_stats("gaming", "overload_end", "secs");
-        SubsystemReport {
-            name: self.name(),
-            metrics: vec![
-                ("players_admitted".to_owned(), trace.count("gaming", "join") as f64),
-                ("players_rejected".to_owned(), trace.count("gaming", "reject") as f64),
+        ),
+        report("graph", graph),
+        report(
+            "gaming",
+            vec![
+                ("players_admitted", count("gaming", "join")),
+                ("players_rejected", count("gaming", "reject")),
+                ("players_disconnected", count("gaming", "disconnect")),
                 (
-                    "players_disconnected".to_owned(),
-                    trace.count("gaming", "disconnect") as f64,
-                ),
-                (
-                    "overload_minutes".to_owned(),
+                    "overload_minutes",
                     overload.map_or(0.0, |s| s.mean() * s.count() as f64 / 60.0),
                 ),
-                ("zone_fails".to_owned(), trace.count("gaming", "zone_fail") as f64),
+                ("zone_fails", count("gaming", "zone_fail")),
             ],
-        }
-    }
-}
-
-/// Every subsystem of the full-stack scenario. Convenience for experiments
-/// that want the whole ecosystem reported uniformly.
-pub fn full_stack() -> Vec<Box<dyn Subsystem>> {
-    vec![
-        Box::new(Batch),
-        Box::new(Serverless),
-        Box::new(Failures),
-        Box::new(Bigdata),
-        Box::new(GraphAnalytics),
-        Box::new(Gaming),
+        ),
     ]
 }
 
@@ -252,40 +137,40 @@ mod tests {
         )
     }
 
+    /// The report named `name` among `reports`.
+    fn tenant<'r>(reports: &'r [SubsystemReport], name: &str) -> &'r SubsystemReport {
+        reports.iter().find(|r| r.name == name).expect("every tenant reports")
+    }
+
     #[test]
     fn every_subsystem_reports_from_the_shared_trace() {
-        let out = full_stack_scenario().run();
-        for subsystem in full_stack() {
-            let report = subsystem.report(&out.trace);
-            assert!(
-                !report.metrics.is_empty(),
-                "{} reported no metrics",
-                report.name
-            );
+        let reports = tenant_reports(&full_stack_scenario().run().trace);
+        let names: Vec<&str> = reports.iter().map(|r| r.name).collect();
+        assert_eq!(names, ["rms", "faas", "failure", "bigdata", "graph", "gaming"]);
+        for report in &reports {
+            assert!(!report.metrics.is_empty(), "{} reported no metrics", report.name);
         }
-        let batch = Batch.report(&out.trace);
-        assert!(batch.get("tasks_finished").unwrap_or(0.0) > 0.0);
-        let faas = Serverless.report(&out.trace);
-        assert!(faas.get("invocations").unwrap_or(0.0) > 0.0);
-        let gaming = Gaming.report(&out.trace);
-        assert!(gaming.get("players_admitted").unwrap_or(0.0) > 0.0);
+        assert!(tenant(&reports, "rms").get("tasks_finished").unwrap_or(0.0) > 0.0);
+        assert!(tenant(&reports, "faas").get("invocations").unwrap_or(0.0) > 0.0);
+        assert!(tenant(&reports, "gaming").get("players_admitted").unwrap_or(0.0) > 0.0);
     }
 
     #[test]
     fn standalone_and_composed_reports_share_one_shape() {
-        // A standalone single-subsystem run and the same subsystem's slice
-        // of a composed run report through the identical code path.
+        // A standalone single-tenant run and the same tenant's slice of a
+        // composed run report through the identical code path.
         let standalone = mcs_gaming::actor::run_gaming_standalone(
             &GamingConfig::default(),
             11,
             SimTime::from_secs(2 * 3600),
         );
-        let solo = Gaming.report(&standalone);
-        let composed = Gaming.report(&full_stack_scenario().run().trace);
-        let names =
-            |r: &SubsystemReport| r.metrics.iter().map(|(m, _)| m.clone()).collect::<Vec<_>>();
+        let solo = tenant_reports(&standalone);
+        let composed = tenant_reports(&full_stack_scenario().run().trace);
+        let names = |r: &[SubsystemReport]| {
+            r.iter().map(|r| r.metrics.iter().map(|(m, _)| *m).collect::<Vec<_>>()).collect::<Vec<_>>()
+        };
         assert_eq!(names(&solo), names(&composed));
-        assert!(solo.get("players_admitted").unwrap_or(0.0) > 0.0);
+        assert!(tenant(&solo, "gaming").get("players_admitted").unwrap_or(0.0) > 0.0);
     }
 
     #[test]
@@ -299,15 +184,15 @@ mod tests {
         let streaming =
             Scenario::new(config.with_observability(ObservabilityConfig::default())).run().trace;
         assert!(streaming.is_streaming() && !full.is_streaming());
-        for subsystem in full_stack() {
-            let (a, b) = (subsystem.report(&full), subsystem.report(&streaming));
-            for (metric, value) in &a.metrics {
+        let (full, streaming) = (tenant_reports(&full), tenant_reports(&streaming));
+        assert_eq!(full.len(), streaming.len());
+        for (a, b) in full.iter().zip(&streaming) {
+            assert_eq!(a.name, b.name);
+            for &(metric, value) in &a.metrics {
                 match b.get(metric) {
                     Some(v) => assert_eq!(v.to_bits(), value.to_bits(), "{}/{metric}", a.name),
                     // The one row no rollup can answer is absent, never 0.
-                    None => {
-                        assert_eq!((a.name, metric.as_str()), ("graph", "straggler_supersteps"))
-                    }
+                    None => assert_eq!((a.name, metric), ("graph", "straggler_supersteps")),
                 }
             }
             assert!(b.metrics.iter().all(|(m, _)| a.get(m).is_some()), "{}", a.name);

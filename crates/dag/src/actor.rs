@@ -214,8 +214,7 @@ pub struct DagActor<'a, M = DagMsg> {
     rng: RngStream,
     edge_hook: Option<EdgeHook<'a, M>>,
     jobs_finished: u64,
-    tasks_finished: u64,
-    makespans: Vec<f64>,
+    makespan_sum_secs: f64,
     transfer_secs: f64,
     stall_secs: f64,
 }
@@ -289,8 +288,7 @@ impl<'a, M: MessageEnvelope<DagMsg>> DagActor<'a, M> {
             edge_hook: None,
             cfg,
             jobs_finished: 0,
-            tasks_finished: 0,
-            makespans: Vec::new(),
+            makespan_sum_secs: 0.0,
             transfer_secs: 0.0,
             stall_secs: 0.0,
         }
@@ -312,17 +310,12 @@ impl<'a, M: MessageEnvelope<DagMsg>> DagActor<'a, M> {
         self.jobs_finished
     }
 
-    /// Tasks completed so far.
-    pub fn tasks_finished(&self) -> u64 {
-        self.tasks_finished
-    }
-
     /// Mean makespan over completed workflows, seconds.
     pub fn mean_makespan_secs(&self) -> f64 {
-        if self.makespans.is_empty() {
+        if self.jobs_finished == 0 {
             return 0.0;
         }
-        self.makespans.iter().sum::<f64>() / self.makespans.len() as f64
+        self.makespan_sum_secs / self.jobs_finished as f64
     }
 
     /// Total seconds edge payloads spent in flight.
@@ -534,7 +527,6 @@ impl<'a, M: MessageEnvelope<DagMsg>> DagActor<'a, M> {
         let mid = job.placed_on[t as usize].expect("finished task was placed");
         self.cluster.machine_mut(mid).release(&job.reqs[t as usize]);
         self.dirty = true;
-        self.tasks_finished += 1;
         ctx.emit_fields(
             DAG_COMPONENT,
             "task_finish",
@@ -554,7 +546,7 @@ impl<'a, M: MessageEnvelope<DagMsg>> DagActor<'a, M> {
             let makespan = now.saturating_since(job.submit_at).as_secs_f64();
             let policy_idx = job.policy_idx.expect("completed job was submitted");
             self.jobs_finished += 1;
-            self.makespans.push(makespan);
+            self.makespan_sum_secs += makespan;
             let job = &self.jobs[j as usize];
             ctx.emit_fields(
                 DAG_COMPONENT,
@@ -629,9 +621,10 @@ mod tests {
         let id = sim.add_actor(&mut actor);
         sim.schedule(SimTime::ZERO, id, DagMsg::Start);
         sim.run();
+        let tasks = sim.trace().count(DAG_COMPONENT, "task_finish") as u64;
         let trace = sim.trace().to_json_string();
         drop(sim);
-        let out = (actor.jobs_finished(), actor.tasks_finished(), actor.mean_makespan_secs(), trace);
+        let out = (actor.jobs_finished(), tasks, actor.mean_makespan_secs(), trace);
         drop(actor);
         out
     }

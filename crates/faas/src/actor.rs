@@ -13,8 +13,9 @@
 //! retry with backoff behind a bulkhead, and utilization-threshold load
 //! shedding engaged by the autoscaling governor. Every resilience action is
 //! emitted onto the trace bus (`faas/invoke_failed`, `faas/retry_scheduled`,
-//! `faas/breaker`, `faas/shed`, …), so experiments read outcomes off the
-//! bus, not side counters.
+//! `faas/breaker`, `faas/shed`, …). The actor keeps no outcome counters:
+//! scenarios and experiments count invocations, rejections, failures, sheds
+//! and retries off the bus.
 
 use crate::platform::FaasPlatform;
 use mcs_simcore::engine::{Actor, Context, MessageEnvelope};
@@ -134,8 +135,8 @@ pub type FaasResponseHook<'a, M> = Box<dyn FnMut(&mut Context<'_, M>, f64) + 'a>
 ///
 /// Without a capacity cap the actor admits every invocation, exactly like
 /// the platform's standalone replay. With [`FaasActor::with_capacity`], an
-/// invocation arriving while `busy >= capacity` is rejected (counted, traced,
-/// not executed) — the signal the autoscaling governor reacts to.
+/// invocation arriving while `busy >= capacity` is rejected (traced, not
+/// executed) — the signal the autoscaling governor reacts to.
 pub struct FaasActor<'a, M = FaasMsg> {
     platform: &'a mut FaasPlatform,
     capacity: Option<usize>,
@@ -144,8 +145,6 @@ pub struct FaasActor<'a, M = FaasMsg> {
     on_response: Option<FaasResponseHook<'a, M>>,
     window_peak: usize,
     window_rejected: usize,
-    rejected: u64,
-    invoked: u64,
     resilience: ResilienceConfig,
     res_rng: RngStream,
     breakers: HashMap<String, CircuitBreaker>,
@@ -153,9 +152,6 @@ pub struct FaasActor<'a, M = FaasMsg> {
     active_faults: Vec<FaasFault>,
     shedding: bool,
     congestion: Option<CongestionConfig>,
-    failed: u64,
-    shed: u64,
-    retries_scheduled: u64,
 }
 
 impl<'a, M> FaasActor<'a, M> {
@@ -171,8 +167,6 @@ impl<'a, M> FaasActor<'a, M> {
             on_response: None,
             window_peak: 0,
             window_rejected: 0,
-            rejected: 0,
-            invoked: 0,
             resilience: ResilienceConfig::none(),
             res_rng,
             breakers: HashMap::new(),
@@ -180,9 +174,6 @@ impl<'a, M> FaasActor<'a, M> {
             active_faults: Vec::new(),
             shedding: false,
             congestion: None,
-            failed: 0,
-            shed: 0,
-            retries_scheduled: 0,
         }
     }
 
@@ -235,35 +226,9 @@ impl<'a, M> FaasActor<'a, M> {
         self
     }
 
-    /// Invocations rejected by the capacity cap so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// Invocations admitted and executed so far.
-    pub fn invoked(&self) -> u64 {
-        self.invoked
-    }
-
     /// Current capacity cap, if any.
     pub fn capacity(&self) -> Option<usize> {
         self.capacity
-    }
-
-    /// Invocations that ended in failure (partition, gray, timeout, or a
-    /// fast-fail at an open circuit breaker).
-    pub fn failed(&self) -> u64 {
-        self.failed
-    }
-
-    /// Requests dropped by engaged load shedding.
-    pub fn shed(&self) -> u64 {
-        self.shed
-    }
-
-    /// Retries scheduled so far.
-    pub fn retries_scheduled(&self) -> u64 {
-        self.retries_scheduled
     }
 
     fn emit_breaker(ctx: &mut Context<'_, M>, function: &str, state: &'static str) {
@@ -318,7 +283,6 @@ impl<'a, M> FaasActor<'a, M> {
                 return;
             }
         }
-        self.retries_scheduled += 1;
         ctx.emit_fields(
             "faas",
             "retry_scheduled",
@@ -360,7 +324,6 @@ impl<'a, M> FaasActor<'a, M> {
                 Self::emit_breaker(ctx, function, state.name());
             }
             if !allowed {
-                self.failed += 1;
                 Self::emit_failed(ctx, function, "breaker_open", attempt, 0.0);
                 self.schedule_retry(ctx, function, attempt);
                 return;
@@ -374,7 +337,6 @@ impl<'a, M> FaasActor<'a, M> {
         if self.shedding {
             if let (Some(shedder), Some(cap)) = (self.resilience.shedder, self.capacity) {
                 if !shedder.admits(busy, cap) {
-                    self.shed += 1;
                     self.window_rejected += 1;
                     ctx.emit_fields(
                         "faas",
@@ -392,7 +354,6 @@ impl<'a, M> FaasActor<'a, M> {
 
         if let Some(cap) = self.capacity {
             if busy >= cap {
-                self.rejected += 1;
                 self.window_rejected += 1;
                 self.window_peak = self.window_peak.max(busy + 1);
                 ctx.emit_fields(
@@ -411,7 +372,6 @@ impl<'a, M> FaasActor<'a, M> {
 
         // Partition windows fast-fail before any work is done.
         if self.active_faults.iter().any(|f| matches!(f, FaasFault::Partition)) {
-            self.failed += 1;
             self.breaker_on_failure(ctx, function);
             Self::emit_failed(ctx, function, "partition", attempt, 0.0);
             self.schedule_retry(ctx, function, attempt);
@@ -444,7 +404,6 @@ impl<'a, M> FaasActor<'a, M> {
             })
             .fold(0.0_f64, f64::max);
         if gray_rate > 0.0 && self.res_rng.next_f64() < gray_rate {
-            self.failed += 1;
             self.breaker_on_failure(ctx, function);
             Self::emit_failed(ctx, function, "gray", attempt, result.exec_secs);
             self.schedule_retry(ctx, function, attempt);
@@ -454,7 +413,6 @@ impl<'a, M> FaasActor<'a, M> {
         // A success slower than the latency budget counts as a failure.
         if let Some(timeout) = self.resilience.timeout {
             if timeout.exceeded_by(SimDuration::from_secs_f64(result.latency_secs)) {
-                self.failed += 1;
                 self.breaker_on_failure(ctx, function);
                 Self::emit_failed(ctx, function, "timeout", attempt, result.exec_secs);
                 self.schedule_retry(ctx, function, attempt);
@@ -467,7 +425,6 @@ impl<'a, M> FaasActor<'a, M> {
                 Self::emit_breaker(ctx, function, state.name());
             }
         }
-        self.invoked += 1;
         ctx.emit_fields(
             "faas",
             "invoke",
@@ -577,11 +534,8 @@ mod tests {
             sim.schedule(SimTime::from_secs(1), id, FaasMsg::Invoke { function: "api".into() });
         }
         sim.run();
-        let rejects = sim.trace().count("faas", "reject");
-        drop(sim);
-        assert_eq!(actor.invoked(), 2);
-        assert_eq!(actor.rejected(), 3);
-        assert_eq!(rejects, 3);
+        assert_eq!(sim.trace().count("faas", "invoke"), 2);
+        assert_eq!(sim.trace().count("faas", "reject"), 3);
     }
 
     #[test]
@@ -651,9 +605,6 @@ mod tests {
         assert_eq!(sim.trace().count("faas", "retry_scheduled"), 2);
         assert_eq!(sim.trace().count("faas", "retry_exhausted"), 1);
         assert_eq!(sim.trace().count("faas", "invoke"), 0);
-        drop(sim);
-        assert_eq!(actor.failed(), 3);
-        assert_eq!(actor.invoked(), 0);
     }
 
     #[test]
@@ -678,8 +629,6 @@ mod tests {
         assert_eq!(sim.trace().count("faas", "invoke"), 1, "the 12 s retry lands");
         assert_eq!(sim.trace().count("faas", "fault"), 1);
         assert_eq!(sim.trace().count("faas", "fault_clear"), 1);
-        drop(sim);
-        assert_eq!(actor.invoked(), 1);
     }
 
     #[test]
@@ -744,9 +693,7 @@ mod tests {
         // Knee at 0.5 of 4 = 2 busy: two admitted, the rest shed.
         assert_eq!(sim.trace().count("faas", "invoke"), 2);
         assert_eq!(sim.trace().count("faas", "shed"), 3);
-        drop(sim);
-        assert_eq!(actor.shed(), 3);
-        assert_eq!(actor.rejected(), 0, "shed, not capacity-rejected");
+        assert_eq!(sim.trace().count("faas", "reject"), 0, "shed, not capacity-rejected");
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub struct FailureInjector<'a, M> {
     faults: Vec<Fault>,
     cursor: usize,
     horizon: Option<SimTime>,
-    delivered: usize,
     deliver: FailureSink<'a, M>,
 }
 
@@ -70,7 +69,6 @@ impl<'a, M: MessageEnvelope<InjectorMsg>> FailureInjector<'a, M> {
             faults,
             cursor: 0,
             horizon: None,
-            delivered: 0,
             deliver: Box::new(deliver),
         }
     }
@@ -81,11 +79,6 @@ impl<'a, M: MessageEnvelope<InjectorMsg>> FailureInjector<'a, M> {
     pub fn with_horizon(mut self, horizon: SimTime) -> Self {
         self.horizon = Some(horizon);
         self
-    }
-
-    /// Fault onsets delivered so far.
-    pub fn delivered(&self) -> usize {
-        self.delivered
     }
 
     fn arm_next(&mut self, ctx: &mut Context<'_, M>) {
@@ -103,7 +96,6 @@ impl<'a, M: MessageEnvelope<InjectorMsg>> FailureInjector<'a, M> {
         let idx = self.cursor;
         let f = self.faults[idx];
         self.cursor += 1;
-        self.delivered += 1;
         ctx.emit_fields(
             "failure",
             "outage",
@@ -165,7 +157,7 @@ mod tests {
     fn run_injector(
         outages: Vec<Outage>,
         horizon: Option<SimTime>,
-    ) -> (Vec<(SimTime, FailureEvent)>, usize, usize, usize) {
+    ) -> (Vec<(SimTime, FailureEvent)>, usize, usize) {
         let log: Rc<RefCell<Vec<(SimTime, FailureEvent)>>> = Rc::new(RefCell::new(Vec::new()));
         let sink = Rc::clone(&log);
         let mut inj: FailureInjector<'_, InjectorMsg> =
@@ -183,14 +175,13 @@ mod tests {
         let repairs = sim.trace().count("failure", "repair");
         drop(sim);
         let events = log.borrow().clone();
-        (events, inj.delivered(), fails, repairs)
+        (events, fails, repairs)
     }
 
     #[test]
     fn delivers_fails_and_repairs_in_time_order() {
-        let (events, delivered, fails, repairs) =
+        let (events, fails, repairs) =
             run_injector(vec![outage(0, 10, 50), outage(1, 20, 30)], None);
-        assert_eq!(delivered, 2);
         assert_eq!((fails, repairs), (2, 2));
         let kinds: Vec<(u64, bool)> = events
             .iter()
@@ -215,11 +206,11 @@ mod tests {
 
     #[test]
     fn horizon_skips_late_outages_and_clamps_repairs() {
-        let (events, delivered, ..) = run_injector(
+        let (events, fails, ..) = run_injector(
             vec![outage(0, 10, 500), outage(1, 200, 300)],
             Some(SimTime::from_secs(100)),
         );
-        assert_eq!(delivered, 1, "outage at 200 s is past the 100 s horizon");
+        assert_eq!(fails, 1, "outage at 200 s is past the 100 s horizon");
         let repair_times: Vec<u64> = events
             .iter()
             .filter_map(|(t, ev)| match ev {

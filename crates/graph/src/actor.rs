@@ -101,7 +101,6 @@ pub struct BspActor {
     dead_workers: u64,
     pressure: u32,
     queries: Vec<Option<QueryState>>,
-    completed: usize,
     stragglers: u64,
 }
 
@@ -118,14 +117,8 @@ impl BspActor {
             dead_workers: 0,
             pressure: 0,
             queries: Vec::new(),
-            completed: 0,
             stragglers: 0,
         }
-    }
-
-    /// Queries that ran all their supersteps to completion.
-    pub fn completed(&self) -> usize {
-        self.completed
     }
 
     /// Supersteps that executed slowed (worker loss or co-tenant pressure).
@@ -275,7 +268,6 @@ impl BspActor {
             self.start_superstep(ctx, query);
         } else {
             let state = self.queries[query].take().expect("query state present");
-            self.completed += 1;
             ctx.emit_fields(
                 "graph",
                 "query_finish",

@@ -192,7 +192,6 @@ pub struct NetActor<'a, M = NetMsg> {
     abort_pending: Option<EventToken>,
     flow_timeout: Option<SimDuration>,
     on_complete: Option<CompletionHook<'a, M>>,
-    started: u64,
     delivered: u64,
     aborted: u64,
     stall_secs: f64,
@@ -213,7 +212,6 @@ impl<'a, M: MessageEnvelope<NetMsg>> NetActor<'a, M> {
             abort_pending: None,
             flow_timeout: None,
             on_complete: None,
-            started: 0,
             delivered: 0,
             aborted: 0,
             stall_secs: 0.0,
@@ -241,11 +239,6 @@ impl<'a, M: MessageEnvelope<NetMsg>> NetActor<'a, M> {
     /// The underlying topology.
     pub fn topology(&self) -> &NetTopology {
         &self.topo
-    }
-
-    /// Flows started so far.
-    pub fn started(&self) -> u64 {
-        self.started
     }
 
     /// Flows delivered to the completion hook so far.
@@ -430,7 +423,6 @@ impl<'a, M: MessageEnvelope<NetMsg>> NetActor<'a, M> {
         self.advance(ctx.now());
         let id = self.next_id;
         self.next_id += 1;
-        self.started += 1;
         ctx.emit_fields(
             NET_COMPONENT,
             "flow_start",
@@ -779,8 +771,8 @@ mod tests {
         sim.schedule(SimTime::ZERO, id, NetMsg::Transfer(req(0, 1, bytes, 0)));
         sim.schedule(SimTime::ZERO, id, NetMsg::Transfer(req(0, 2, bytes, 1)));
         sim.run();
+        assert_eq!(sim.trace().count(NET_COMPONENT, "flow_start"), 2);
         drop(sim);
-        assert_eq!(actor.started(), 2);
         assert_eq!(actor.delivered(), 2);
         assert_eq!(actor.in_flight(), 0);
         // Each flow took ~2 s against a ~1 s ideal.

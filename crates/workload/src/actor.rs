@@ -49,11 +49,6 @@ impl<'a, M: MessageEnvelope<ArrivalMsg>> ArrivalActor<'a, M> {
         ArrivalActor { process, rng, horizon, max, count: 0, deliver: Box::new(deliver) }
     }
 
-    /// Arrivals delivered so far.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
     fn arm_next(&mut self, ctx: &mut Context<'_, M>) {
         if self.count >= self.max {
             return;
@@ -126,7 +121,6 @@ mod tests {
 
         assert!(!expected.is_empty());
         assert_eq!(*seen.borrow(), expected);
-        assert_eq!(actor.count(), expected.len());
         assert_eq!(traced, expected.len());
     }
 
@@ -144,7 +138,6 @@ mod tests {
         let id = sim.add_actor(&mut actor);
         sim.schedule(SimTime::ZERO, id, ArrivalMsg::Start);
         sim.run();
-        drop(sim);
-        assert_eq!(actor.count(), 5);
+        assert_eq!(sim.trace().count("workload", "arrival"), 5);
     }
 }
