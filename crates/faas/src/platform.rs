@@ -117,6 +117,42 @@ struct Instance {
     last_used: SimTime,
 }
 
+/// Provider-side accounting of retired instances: their GB-seconds and
+/// their lifetime edges (`+1` at start, `-1` at end) for the peak count.
+#[derive(Debug, Default)]
+struct Lifetimes {
+    gb_secs: f64,
+    edges: Vec<(SimTime, i64)>,
+}
+
+impl Lifetimes {
+    /// Charges an instance of `memory_gb` from its start until `end`.
+    fn close(&mut self, memory_gb: f64, inst: &Instance, end: SimTime) {
+        self.gb_secs += memory_gb * (end - inst.started_at).as_secs_f64();
+        self.edges.push((inst.started_at, 1));
+        self.edges.push((end, -1));
+    }
+
+    /// The keep-alive expiry rule: retires from `pool`, keeping survivors
+    /// in order, every instance idle for longer than `window` at `at` (every
+    /// instance when `at` is `None`), closing each at `free_at + window`.
+    fn expire(
+        &mut self,
+        pool: &mut Vec<Instance>,
+        memory_gb: f64,
+        window: SimDuration,
+        at: Option<SimTime>,
+    ) {
+        pool.retain(|i| {
+            let lapsed = at.is_none_or(|at| i.free_at <= at && (at - i.free_at) > window);
+            if lapsed {
+                self.close(memory_gb, i, i.free_at + window);
+            }
+            !lapsed
+        });
+    }
+}
+
 /// A deployed function and its live instance pool.
 #[derive(Debug)]
 struct Deployed {
@@ -136,8 +172,7 @@ pub struct FaasPlatform {
     invocations: u64,
     cold_starts: u64,
     billed: f64,
-    provider: f64,
-    lifetime_events: Vec<(SimTime, i64)>,
+    lifetimes: Lifetimes,
     seed: u64,
 }
 
@@ -152,8 +187,7 @@ impl FaasPlatform {
             invocations: 0,
             cold_starts: 0,
             billed: 0.0,
-            provider: 0.0,
-            lifetime_events: Vec::new(),
+            lifetimes: Lifetimes::default(),
             seed,
         }
     }
@@ -211,18 +245,7 @@ impl FaasPlatform {
             .functions
             .get_mut(function)
             .unwrap_or_else(|| panic!("unknown function {function}"));
-        // Expire idle instances beyond the keep-alive window.
-        let (provider, events) = (&mut self.provider, &mut self.lifetime_events);
-        pool.retain(|i| {
-            let expired = i.free_at <= at && (at - i.free_at) > window;
-            if expired {
-                let end = i.free_at + window;
-                *provider += spec.memory_gb * (end - i.started_at).as_secs_f64();
-                events.push((i.started_at, 1));
-                events.push((end, -1));
-            }
-            !expired
-        });
+        self.lifetimes.expire(pool, spec.memory_gb, window, Some(at));
         // Warm, idle instance with the most recent use (LIFO keeps pools small).
         let warm_idx = pool
             .iter()
@@ -322,17 +345,7 @@ impl FaasPlatform {
         let window = self.keep_alive.window();
         for name in self.sorted_names() {
             let Deployed { spec, pool } = self.functions.get_mut(&name).expect("deployed");
-            let (provider, events) = (&mut self.provider, &mut self.lifetime_events);
-            pool.retain(|i| {
-                let expired = i.free_at <= at && (at - i.free_at) > window;
-                if expired {
-                    let end = i.free_at + window;
-                    *provider += spec.memory_gb * (end - i.started_at).as_secs_f64();
-                    events.push((i.started_at, 1));
-                    events.push((end, -1));
-                }
-                !expired
-            });
+            self.lifetimes.expire(pool, spec.memory_gb, window, Some(at));
         }
     }
 
@@ -368,9 +381,7 @@ impl FaasPlatform {
             let Deployed { spec, pool } = self.functions.get_mut(&name).expect("deployed");
             for idx in idxs {
                 let inst = pool.remove(idx);
-                self.provider += spec.memory_gb * (at - inst.started_at).as_secs_f64();
-                self.lifetime_events.push((inst.started_at, 1));
-                self.lifetime_events.push((at, -1));
+                self.lifetimes.close(spec.memory_gb, &inst, at);
             }
         }
         killed
@@ -382,14 +393,9 @@ impl FaasPlatform {
         let window = self.keep_alive.window();
         for name in self.sorted_names() {
             let Deployed { spec, pool } = self.functions.get_mut(&name).expect("deployed");
-            for i in pool.drain(..) {
-                let end = i.free_at + window;
-                self.provider += spec.memory_gb * (end - i.started_at).as_secs_f64();
-                self.lifetime_events.push((i.started_at, 1));
-                self.lifetime_events.push((end, -1));
-            }
+            self.lifetimes.expire(pool, spec.memory_gb, window, None);
         }
-        let mut events = std::mem::take(&mut self.lifetime_events);
+        let Lifetimes { gb_secs, edges: mut events } = std::mem::take(&mut self.lifetimes);
         events.sort_by_key(|&(t, d)| (t, -d));
         let mut level = 0i64;
         let mut peak = 0i64;
@@ -405,13 +411,12 @@ impl FaasPlatform {
                 self.cold_starts as f64 / self.invocations as f64
             },
             billed_gb_secs: self.billed,
-            provider_gb_secs: self.provider,
+            provider_gb_secs: gb_secs,
             peak_instances: peak as usize,
         };
         self.invocations = 0;
         self.cold_starts = 0;
         self.billed = 0.0;
-        self.provider = 0.0;
         self.last_invoke_at = SimTime::ZERO;
         report
     }
