@@ -158,9 +158,9 @@ mod tests {
     fn virtual_world_rows_are_pinned_at_seed_42() {
         let rows = virtual_world(42);
         let pinned: [(&str, u64, u64, f64, f64); 3] = [
-            ("static-small", 49_159, 38_060, 1200.0, 288.0),
-            ("static-peak", 87_190, 0, 6919.0, 1920.0),
-            ("elastic", 87_323, 5, 6946.0, 983.838_155_885_622_7),
+            ("static-small", 49_408, 37_959, 1200.0, 288.0),
+            ("static-peak", 87_358, 0, 6884.0, 1920.0),
+            ("elastic", 87_358, 0, 6884.0, 985.148_079_957_493_8),
         ];
         assert_eq!(rows.len(), pinned.len());
         for ((name, out), (want_name, admitted, rejected, peak, zone_hours)) in

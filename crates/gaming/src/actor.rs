@@ -397,13 +397,7 @@ pub fn run_gaming_standalone(
     seed: u64,
     horizon: SimTime,
 ) -> TraceBus {
-    run_world(config, horizon, seed, "gaming")
-}
-
-/// Runs one [`WorldActor`] alone over `[0, horizon)`, drawing from the RNG
-/// stream `label`, and returns its trace.
-pub(crate) fn run_world(config: &GamingConfig, horizon: SimTime, seed: u64, label: &str) -> TraceBus {
-    let mut actor = WorldActor::new(config.clone(), horizon, RngStream::new(seed, label));
+    let mut actor = WorldActor::new(config.clone(), horizon, RngStream::new(seed, "gaming"));
     let mut sim: Simulation<'_, GamingMsg> = Simulation::new(seed);
     sim.set_horizon(horizon);
     let id = sim.add_actor(&mut actor);

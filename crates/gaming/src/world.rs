@@ -10,7 +10,7 @@
 //! engine; this module holds its parameters and [`WorldOutcome`], the
 //! reduction of a standalone run's trace.
 
-use crate::actor::{run_world, GamingConfig};
+use crate::actor::{run_gaming_standalone, GamingConfig};
 use mcs_simcore::dist::{Dist, Sample};
 use mcs_simcore::metrics::TimeWeighted;
 use mcs_simcore::rng::RngStream;
@@ -144,9 +144,10 @@ impl WorldOutcome {
 }
 
 /// Simulates the virtual world over `[0, horizon)` on a standalone
-/// [`WorldActor`](crate::actor::WorldActor) and reduces its trace.
+/// [`WorldActor`](crate::actor::WorldActor) and reduces its trace. It draws
+/// from the same `"gaming"` stream as a composed scenario's world.
 pub fn simulate_world(config: &GamingConfig, horizon: SimTime, seed: u64) -> WorldOutcome {
-    let trace = run_world(config, horizon, seed, "virtual-world");
+    let trace = run_gaming_standalone(config, seed, horizon);
     WorldOutcome::from_trace(&trace, config.provisioning, horizon)
 }
 
