@@ -6,27 +6,33 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace --bins --examples
 
-# Codegen gate: the EcosystemMsg instance of Simulation::step (the one whose
-# body drops EcosystemMsg values) must inline BinaryHeap::push and pop.
-# Whether it does depends on how rustc splits mcs-core into codegen units,
-# so an edit to mcs-core or to a tenant actor's generic handler, or even the
-# checkout path (cargo hashes it into symbol names), can move it. The
-# engine's other step instance calls pop out of line; it is not gated.
-step_heap_calls="$(objdump -d -C target/release/ecosystem_full | awk '
-    /^[0-9a-f]+ <mcs_simcore::engine::Simulation<M>::step>:$/ { on = 1; eco = 0; calls = 0; next }
-    on && /^$/ { if (eco) print calls; on = 0; next }
-    on && /EcosystemMsg/ { eco = 1 }
-    on && /call.*<alloc::collections::binary_heap::BinaryHeap<T,A>::(push|pop)>/ { calls++ }
-    END { if (on && eco) print calls }
-')"
-if [ -z "$step_heap_calls" ]; then
-    echo "verify: FAIL — no EcosystemMsg Simulation::step body in ecosystem_full" >&2
-    exit 1
-fi
-if grep -qv '^0$' <<< "$step_heap_calls"; then
-    echo "verify: FAIL — the EcosystemMsg Simulation::step calls BinaryHeap::push/pop out of line" >&2
-    exit 1
-fi
+# Codegen gate: in the binary $1, the EcosystemMsg instance of
+# Simulation::step (the one whose body drops EcosystemMsg values) must
+# inline BinaryHeap::push and pop. Whether it does depends on how rustc
+# splits mcs-core into codegen units, so an edit to mcs-core or to a tenant
+# actor's generic handler, or even the checkout path (cargo hashes it into
+# symbol names), can move it. The engine's other step instance calls pop
+# out of line; it is not gated. Both ecosystem_full and the benchmark
+# binary are gated, since each crate graph splits mcs-core on its own.
+check_step_codegen() {
+    local step_heap_calls
+    step_heap_calls="$(objdump -d -C "$1" | awk '
+        /^[0-9a-f]+ <mcs_simcore::engine::Simulation<M>::step>:$/ { on = 1; eco = 0; calls = 0; next }
+        on && /^$/ { if (eco) print calls; on = 0; next }
+        on && /EcosystemMsg/ { eco = 1 }
+        on && /call.*<alloc::collections::binary_heap::BinaryHeap<T,A>::(push|pop)>/ { calls++ }
+        END { if (on && eco) print calls }
+    ')"
+    if [ -z "$step_heap_calls" ]; then
+        echo "verify: FAIL — no EcosystemMsg Simulation::step body in $1" >&2
+        exit 1
+    fi
+    if grep -qv '^0$' <<< "$step_heap_calls"; then
+        echo "verify: FAIL — the EcosystemMsg Simulation::step in $1 calls BinaryHeap::push/pop out of line" >&2
+        exit 1
+    fi
+}
+check_step_codegen target/release/ecosystem_full
 
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
@@ -94,6 +100,8 @@ for workload in composed_batch fabric_stress; do
         exit 1
     fi
 done
+# The smoke runs built the benchmark binary: gate its step codegen too.
+check_step_codegen benchmark/target/release/benchmark
 
 # Allow-lint gate: no crate source carries a new `#[allow]` escape (the BSP
 # stepper carries the single pre-existing `too_many_arguments` exception).
@@ -105,4 +113,4 @@ if [ "$allow_count" -gt "$allow_budget" ]; then
     exit 1
 fi
 
-echo "verify: OK (offline build + EcosystemMsg step codegen gate + tests + clippy + rustdoc + benchmark tests + example smoke runs + par-aware determinism diffs + 10 report snapshots + invariant gate + composed_batch and fabric_stress benchmark smoke + self-compare + allow-lint budget)"
+echo "verify: OK (offline build + EcosystemMsg step codegen gate on ecosystem_full and the benchmark + tests + clippy + rustdoc + benchmark tests + example smoke runs + par-aware determinism diffs + 10 report snapshots + invariant gate + composed_batch and fabric_stress benchmark smoke + self-compare + allow-lint budget)"

@@ -327,6 +327,28 @@ fn every_tenant_subset_matches_its_pin_and_every_flow_owner_ends_and_aborts() {
     }
 }
 
+/// `Scenario::run` reads its counts off the trace sink, so a run must give
+/// the same outcome, trace aside, under the streaming sink as under full
+/// retention: the all-tenant run (network and DAG included) in both fault
+/// modes, the mixed-fault run without the fabric (FaaS failures and
+/// retries) and the scripted partition (flow aborts).
+#[test]
+fn outcomes_are_the_same_under_both_trace_sinks() {
+    let without_trace =
+        |cfg: ScenarioConfig| ScenarioOutcome { trace: TraceBus::new(), ..Scenario::new(cfg).run() };
+    let configs = [
+        config(0xff, Mode::CrashOnly),
+        config(0xff, Mode::Mixed),
+        config(0x7f, Mode::Mixed),
+        scripted_partition(),
+    ];
+    for (i, cfg) in configs.into_iter().enumerate() {
+        let streamed =
+            without_trace(cfg.clone().with_observability(ObservabilityConfig::default()));
+        assert_eq!(streamed, without_trace(cfg), "config {i}");
+    }
+}
+
 const SCRIPTED_PARTITION: u64 = 0xdc50863433a2610e;
 
 const CRASH_ONLY: [u64; 256] = [
