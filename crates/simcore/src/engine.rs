@@ -45,9 +45,8 @@
 //! assert_eq!(sim.now(), SimTime::from_secs(2));
 //! ```
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::fmt;
+use std::ptr;
 
 use crate::error::McsError;
 use crate::intern::FastHashSet;
@@ -142,24 +141,108 @@ struct Scheduled<M> {
     msg: M,
 }
 
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+impl<M> Scheduled<M> {
+    /// Delivery order: earliest first, then scheduling order. `seq` is
+    /// unique, so this is a strict total order.
+    #[inline]
+    fn before(&self, other: &Self) -> bool {
+        (self.at, self.seq) < (other.at, other.seq)
     }
 }
-impl<M> Eq for Scheduled<M> {}
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+
+/// The pending events: a binary min-heap in delivery order.
+///
+/// It is defined here rather than taken from `std::collections::BinaryHeap`
+/// so that rustc always places its `push` and `pop` in the same codegen
+/// unit as [`Simulation::step`], where they inline. std's heap methods get
+/// a unit of their own in the crate that instantiates the engine, and
+/// whether rustc merged that unit with `step`'s depended on the size of
+/// unrelated code in that crate. The sifts follow std's: each level moves
+/// one entry into a hole instead of swapping two.
+struct EventQueue<M> {
+    heap: Vec<Scheduled<M>>,
 }
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap, we need earliest-first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+
+impl<M> EventQueue<M> {
+    fn new() -> Self {
+        EventQueue { heap: Vec::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// The next event to deliver.
+    fn peek(&self) -> Option<&Scheduled<M>> {
+        self.heap.first()
+    }
+
+    #[inline]
+    fn push(&mut self, ev: Scheduled<M>) {
+        self.heap.push(ev);
+        // SAFETY: the index is that of the entry just pushed.
+        unsafe { self.sift_up(self.heap.len() - 1) };
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<Scheduled<M>> {
+        let mut next = self.heap.pop()?;
+        if !self.heap.is_empty() {
+            std::mem::swap(&mut next, &mut self.heap[0]);
+            // SAFETY: the heap is not empty.
+            unsafe { self.sift_down_to_bottom() };
+        }
+        Some(next)
+    }
+
+    /// Moves the entry at `i` up for as long as it comes before its parent.
+    ///
+    /// The entry is held aside while ancestors move down into its slot.
+    /// Nothing in between can panic (`before` compares integers), so the
+    /// slot left open is always filled before returning.
+    ///
+    /// # Safety
+    /// `i` must be in bounds.
+    #[inline]
+    unsafe fn sift_up(&mut self, mut i: usize) {
+        let base = self.heap.as_mut_ptr();
+        let entry = ptr::read(base.add(i));
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !entry.before(&*base.add(parent)) {
+                break;
+            }
+            ptr::copy_nonoverlapping(base.add(parent), base.add(i), 1);
+            i = parent;
+        }
+        ptr::write(base.add(i), entry);
+    }
+
+    /// Moves the root down along the earlier child all the way to the
+    /// bottom, then back up to its place: one comparison per level, since
+    /// the entry that replaced the root is a leaf and usually belongs near
+    /// the bottom again.
+    ///
+    /// # Safety
+    /// The heap must not be empty.
+    #[inline]
+    unsafe fn sift_down_to_bottom(&mut self) {
+        let len = self.heap.len();
+        let base = self.heap.as_mut_ptr();
+        let entry = ptr::read(base);
+        let (mut i, mut child) = (0, 1);
+        while child + 1 < len {
+            child += usize::from((*base.add(child + 1)).before(&*base.add(child)));
+            ptr::copy_nonoverlapping(base.add(child), base.add(i), 1);
+            i = child;
+            child = 2 * i + 1;
+        }
+        if child == len - 1 {
+            ptr::copy_nonoverlapping(base.add(child), base.add(i), 1);
+            i = child;
+        }
+        ptr::write(base.add(i), entry);
+        self.sift_up(i);
     }
 }
 
@@ -254,7 +337,7 @@ impl<'a, M> Context<'a, M> {
 pub struct Simulation<'a, M> {
     now: SimTime,
     seq: u64,
-    queue: BinaryHeap<Scheduled<M>>,
+    queue: EventQueue<M>,
     actors: Vec<Box<dyn Actor<M> + 'a>>,
     rng: RngStream,
     events_handled: u64,
@@ -283,7 +366,7 @@ impl<'a, M> Simulation<'a, M> {
         Simulation {
             now: SimTime::ZERO,
             seq: 0,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(),
             actors: Vec::new(),
             rng: RngStream::new(seed, "simulation"),
             events_handled: 0,
@@ -497,8 +580,44 @@ impl<'a, M> Simulation<'a, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::Check;
+    use crate::prop_assert;
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    #[test]
+    fn event_queue_pops_in_the_order_of_a_std_heap() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        Check::new("event_queue_pops_in_the_order_of_a_std_heap").run(|rng| {
+            let mut queue = EventQueue::new();
+            let mut oracle = BinaryHeap::new();
+            let mut seq = 0u64;
+            for _ in 0..1 + rng.uniform_usize(400) {
+                if rng.next_f64() < 0.6 {
+                    // Few distinct instants, so same-time ties are common.
+                    let at = SimTime::from_secs(rng.uniform_usize(20) as u64);
+                    queue.push(Scheduled { at, seq, target: ActorId(0), msg: seq });
+                    oracle.push(Reverse((at, seq)));
+                    seq += 1;
+                } else {
+                    let got = queue.pop().map(|ev| (ev.at, ev.seq, ev.msg));
+                    let want = oracle.pop().map(|Reverse((at, seq))| (at, seq, seq));
+                    prop_assert!(got == want, "popped {got:?}, want {want:?}");
+                }
+                let head = queue.peek().map(|ev| (ev.at, ev.seq));
+                prop_assert!(head == oracle.peek().map(|r| r.0), "head {head:?}");
+                prop_assert!(queue.len() == oracle.len());
+            }
+            while let Some(Reverse((at, seq))) = oracle.pop() {
+                let got = queue.pop().map(|ev| (ev.at, ev.seq));
+                prop_assert!(got == Some((at, seq)), "drained {got:?}, want {:?}", (at, seq));
+            }
+            prop_assert!(queue.pop().is_none());
+            Ok(())
+        });
+    }
 
     #[derive(Debug, PartialEq, Clone)]
     enum Msg {
