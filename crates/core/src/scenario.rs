@@ -676,7 +676,7 @@ impl std::fmt::Display for ScenarioWarning {
 }
 
 /// What a composed run measured, per subsystem and across them.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScenarioOutcome {
     /// The batch scheduler's outcome (empty when batch is not attached).
     pub schedule: ScheduleOutcome,
@@ -809,7 +809,13 @@ impl Scenario {
     }
 
     /// Runs the composed simulation to its horizon and returns the outcome.
-    pub fn run(mut self) -> ScenarioOutcome {
+    pub fn run(self) -> ScenarioOutcome {
+        self.simulate().count_events()
+    }
+
+    /// Runs the composed simulation to its horizon and returns what the
+    /// actors kept, with the event counts left at zero.
+    fn simulate(mut self) -> ScenarioOutcome {
         let cfg = self.config.clone();
         let peers = Peers::of(&cfg);
         let machines = cfg.machines as u32;
@@ -1104,38 +1110,18 @@ impl Scenario {
         let trace = sim.take_trace();
         drop(sim);
 
-        // Every count is read off the trace, which both sinks count exactly.
-        let count = |component, event| trace.count(component, event);
-        let n = |component, event| count(component, event) as u64;
         let dag = dag_actor.as_ref();
         let net = net_actor.as_ref();
         ScenarioOutcome {
             schedule: scheduler_actor.as_mut().map(|a| a.outcome()).unwrap_or_default(),
-            arrivals: count("workload", "arrival"),
-            invoked: n("faas", "invoke"),
-            rejected: n("faas", "reject"),
-            invocations_failed: n("faas", "invoke_failed"),
-            shed: n("faas", "shed"),
-            retries_scheduled: n("faas", "retry_scheduled"),
             final_capacity: faas_actor.as_ref().and_then(|a| a.capacity()).unwrap_or(0),
             outages_generated,
-            outages_delivered: count("failure", "outage"),
-            governor_decisions: count("autoscale", "decision"),
-            bigdata_jobs: count("bigdata", "job_finish"),
-            graph_queries: count("graph", "query_finish"),
             graph_stragglers: graph_actor.as_ref().map_or(0, |a| a.stragglers()),
-            gaming_admitted: n("gaming", "join"),
-            gaming_rejected: n("gaming", "reject"),
-            gaming_disconnected: n("gaming", "disconnect"),
             gaming_laggy_syncs: gaming_actor.as_ref().map_or(0, |a| a.laggy_syncs()),
-            dag_jobs_finished: n("dag", "job_finish"),
-            dag_tasks_finished: n("dag", "task_finish"),
             dag_mean_makespan_secs: dag.map_or(0.0, |a| a.mean_makespan_secs()),
             dag_transfer_secs: dag.map_or(0.0, |a| a.transfer_secs()),
             dag_stall_secs: dag.map_or(0.0, |a| a.stall_secs()),
-            net_flows_started: n("net", "flow_start"),
             net_flows_delivered: net.map_or(0, |a| a.delivered()),
-            net_flows_aborted: n("net", "flow_aborted"),
             net_stall_secs: net.map_or(0.0, |a| a.stall_secs()),
             events_handled,
             trace,
@@ -1144,6 +1130,37 @@ impl Scenario {
                 drop(faas_actor);
                 platform.as_mut().map(FaasPlatform::finish).unwrap_or_default()
             },
+            ..ScenarioOutcome::default()
+        }
+    }
+}
+
+impl ScenarioOutcome {
+    /// Fills the event counts from the trace, which both sinks count
+    /// exactly. It runs once every actor of the run is dropped, so the
+    /// query index a full trace builds here never sits beside them.
+    fn count_events(self) -> Self {
+        let count = |component, event| self.trace.count(component, event);
+        let n = |component, event| count(component, event) as u64;
+        ScenarioOutcome {
+            arrivals: count("workload", "arrival"),
+            invoked: n("faas", "invoke"),
+            rejected: n("faas", "reject"),
+            invocations_failed: n("faas", "invoke_failed"),
+            shed: n("faas", "shed"),
+            retries_scheduled: n("faas", "retry_scheduled"),
+            outages_delivered: count("failure", "outage"),
+            governor_decisions: count("autoscale", "decision"),
+            bigdata_jobs: count("bigdata", "job_finish"),
+            graph_queries: count("graph", "query_finish"),
+            gaming_admitted: n("gaming", "join"),
+            gaming_rejected: n("gaming", "reject"),
+            gaming_disconnected: n("gaming", "disconnect"),
+            dag_jobs_finished: n("dag", "job_finish"),
+            dag_tasks_finished: n("dag", "task_finish"),
+            net_flows_started: n("net", "flow_start"),
+            net_flows_aborted: n("net", "flow_aborted"),
+            ..self
         }
     }
 }
