@@ -330,16 +330,21 @@ fn every_tenant_subset_matches_its_pin_and_every_flow_owner_ends_and_aborts() {
 /// `Scenario::run` reads its counts off the trace sink, so a run must give
 /// the same outcome, trace aside, under the streaming sink as under full
 /// retention: the all-tenant run (network and DAG included) in both fault
-/// modes, the mixed-fault run without the fabric (FaaS failures and
-/// retries) and the scripted partition (flow aborts).
+/// modes, the mixed-fault run without the fabric with FaaS overloaded past
+/// its instance cap (rejects, sheds, failures and retries), and the
+/// scripted partition (flow aborts).
 #[test]
 fn outcomes_are_the_same_under_both_trace_sinks() {
     let without_trace =
         |cfg: ScenarioConfig| ScenarioOutcome { trace: TraceBus::new(), ..Scenario::new(cfg).run() };
+    let mut overloaded = config(0x7f, Mode::Mixed);
+    let faas = overloaded.faas.as_mut().expect("faas attached");
+    faas.arrival_rate = 4.0;
+    faas.service.max_instances = 2;
     let configs = [
         config(0xff, Mode::CrashOnly),
         config(0xff, Mode::Mixed),
-        config(0x7f, Mode::Mixed),
+        overloaded,
         scripted_partition(),
     ];
     for (i, cfg) in configs.into_iter().enumerate() {
