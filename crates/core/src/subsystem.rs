@@ -40,6 +40,7 @@ pub fn tenant_reports(trace: &TraceBus) -> Vec<SubsystemReport> {
     let mean = |component, event, field| {
         trace.field_stats(component, event, field).map_or(0.0, |s| s.mean())
     };
+    let report = |name, metrics| SubsystemReport { name, metrics };
 
     let mut graph = vec![
         ("queries_finished", count("graph", "query_finish")),
@@ -59,9 +60,9 @@ pub fn tenant_reports(trace: &TraceBus) -> Vec<SubsystemReport> {
 
     let overload = trace.field_stats("gaming", "overload_end", "secs");
     vec![
-        SubsystemReport {
-            name: "rms",
-            metrics: vec![
+        report(
+            "rms",
+            vec![
                 ("jobs_arrived", count("rms", "job_arrival")),
                 ("tasks_started", count("rms", "task_start")),
                 ("tasks_finished", count("rms", "task_finish")),
@@ -69,10 +70,10 @@ pub fn tenant_reports(trace: &TraceBus) -> Vec<SubsystemReport> {
                 ("failure_requeues", count("rms", "requeue_scheduled")),
                 ("policy_ticks", count("rms", "policy_tick")),
             ],
-        },
-        SubsystemReport {
-            name: "faas",
-            metrics: vec![
+        ),
+        report(
+            "faas",
+            vec![
                 ("invocations", count("faas", "invoke")),
                 ("mean_latency_secs", mean("faas", "invoke", "latency_secs")),
                 ("rejected", count("faas", "reject")),
@@ -80,28 +81,28 @@ pub fn tenant_reports(trace: &TraceBus) -> Vec<SubsystemReport> {
                 ("warm_pool_kills", count("faas", "kill_warm")),
                 ("scale_actions", count("faas", "scale")),
             ],
-        },
-        SubsystemReport {
-            name: "failure",
-            metrics: vec![
+        ),
+        report(
+            "failure",
+            vec![
                 ("outages", count("failure", "outage")),
                 ("repairs", count("failure", "repair")),
             ],
-        },
-        SubsystemReport {
-            name: "bigdata",
-            metrics: vec![
+        ),
+        report(
+            "bigdata",
+            vec![
                 ("jobs_finished", count("bigdata", "job_finish")),
                 ("mean_job_makespan_secs", mean("bigdata", "job_finish", "makespan_secs")),
                 ("mean_stage_secs", mean("bigdata", "stage_finish", "secs")),
                 ("node_fails", count("bigdata", "node_fail")),
                 ("re_replications", count("bigdata", "re_replicate")),
             ],
-        },
-        SubsystemReport { name: "graph", metrics: graph },
-        SubsystemReport {
-            name: "gaming",
-            metrics: vec![
+        ),
+        report("graph", graph),
+        report(
+            "gaming",
+            vec![
                 ("players_admitted", count("gaming", "join")),
                 ("players_rejected", count("gaming", "reject")),
                 ("players_disconnected", count("gaming", "disconnect")),
@@ -111,7 +112,7 @@ pub fn tenant_reports(trace: &TraceBus) -> Vec<SubsystemReport> {
                 ),
                 ("zone_fails", count("gaming", "zone_fail")),
             ],
-        },
+        ),
     ]
 }
 
