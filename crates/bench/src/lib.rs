@@ -1,4 +1,4 @@
-//! # mcs-bench — experiment harness for every figure and table of the paper
+//! # mcs-bench — one experiment binary per figure and table of the paper
 //!
 //! One binary per paper artifact regenerates its rows/series
 //! (`cargo run -p mcs-bench --release --bin <experiment>`):
@@ -33,17 +33,14 @@
 //! `mcs::simcore::par` worker threads; `MCS_PAR_WORKERS` sets the width and
 //! the output is byte-identical at any setting.
 //!
-//! In-house benches (`cargo bench -p mcs-bench`) time the kernels behind
-//! each artifact plus the ablations called out in DESIGN.md, using the
-//! wall-clock [`harness`]. End-to-end and per-layer performance is measured
-//! by the repository benchmark (`benchmark/`, contract in `BENCHMARK.json`),
-//! which reads peak heap from [`peakmem`].
+//! Performance, end to end and per layer, is measured by the repository
+//! benchmark alone (`benchmark/`, contract in `BENCHMARK.json`), which reads
+//! peak heap from [`peakmem`].
 
 use mcs::experiment::Experiment;
 use mcs::prelude::*;
 
 pub mod experiments;
-pub mod harness;
 pub mod peakmem;
 
 /// The seed every experiment binary uses unless overridden.
@@ -74,18 +71,6 @@ pub fn standard_cluster() -> Cluster {
         MachineSpec::commodity("std-8", 8.0, 32.0),
         32,
     )
-}
-
-/// A heterogeneous cluster: commodity plus GPU machines (C4).
-pub fn mixed_cluster() -> Cluster {
-    let mut c = Cluster::new(ClusterId(0), "mixed");
-    for _ in 0..24 {
-        c.add_machine(MachineSpec::commodity("std-8", 8.0, 32.0));
-    }
-    for _ in 0..8 {
-        c.add_machine(MachineSpec::gpu("gpu-8", 8.0, 64.0, 2.0));
-    }
-    c
 }
 
 /// A day of bursty batch jobs at moderate load.

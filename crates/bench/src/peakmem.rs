@@ -1,20 +1,20 @@
-//! Peak-heap instrumentation for the benchmark harness.
+//! Peak-heap instrumentation for the repository benchmark and the memory
+//! tests.
 //!
 //! A counting [`GlobalAlloc`] wrapper around the system allocator: every
 //! allocation adds to a live-bytes counter, every deallocation subtracts,
 //! and the high-water mark is kept in a second counter that measurements
 //! reset at their start. The overhead is two relaxed atomic operations per
 //! allocation — invisible next to the allocations themselves — which is
-//! what lets the harness report a peak-memory column next to every timing
-//! row, the repository benchmark report `peak_heap_mib`, and
+//! what lets the repository benchmark report `peak_heap_mib`, and
 //! `tests/peak_heap.rs` check the streaming trace sink's flat-memory claim
 //! as a number rather than prose. `tests/peak_alloc.rs` checks the counters
 //! themselves; like `peak_heap.rs` it is a one-test binary, because a
 //! parallel test would move the process-wide counters mid-measurement.
 //!
 //! The `#[global_allocator]` registration lives here, so every binary and
-//! bench target of this crate is instrumented automatically. Library users
-//! outside mcs-bench are unaffected.
+//! test of this crate, and the benchmark that links it, is instrumented
+//! automatically. Library users outside mcs-bench are unaffected.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -236,6 +236,29 @@ mod tests {
     }
 
     #[test]
+    fn space_correlation_multiplies_peak_concurrent_failures() {
+        // The correlated-failures ablation: 128 machines for 30 days at a
+        // per-machine MTBF of 100 h, bursts confined to 16-machine domains.
+        // Equal MTBF, but bursts take down many machines at once.
+        use crate::model::{FailureModel, IndependentFailures, SpaceCorrelatedFailures};
+        use mcs_simcore::rng::RngStream;
+        let machines = 128;
+        let horizon = SimTime::from_secs(30 * 86_400);
+        let mtbf = 100.0 * 3600.0;
+        let independent = IndependentFailures::with_mtbf(mtbf);
+        let space = SpaceCorrelatedFailures::with_mtbf(mtbf, machines, 16);
+        for seed in [1, 4, 7, 42] {
+            let peak = |model: &dyn FailureModel, label: &str| {
+                let outages = model.generate(machines, horizon, &mut RngStream::new(seed, label));
+                analyze(&outages, machines, horizon).peak_concurrent_failures
+            };
+            let ind = peak(&independent, "independent");
+            let spc = peak(&space, "space");
+            assert!(spc >= 3 * ind, "seed {seed}: space-correlated peak {spc}, independent {ind}");
+        }
+    }
+
+    #[test]
     fn longest_degradation_window() {
         // Two machines down together during [15, 25).
         let outages = vec![o(0, 10, 25), o(1, 15, 40)];

@@ -6,50 +6,22 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace --bins --examples
 
-# Codegen gate: in the binary $1, the EcosystemMsg instance of
-# Simulation::step (the one whose body drops EcosystemMsg values) must
-# inline the event queue's push and pop. The queue is defined in the engine
-# module so rustc places them in step's codegen unit whatever the crate
-# graph; this checks that LLVM then inlines them. It did not when the queue
-# was std's BinaryHeap, whose methods got a unit of their own, so an edit to
-# unrelated code in mcs-core, or even the checkout path (cargo hashes it
-# into symbol names), decided whether step called them out of line. A call
-# through the GOT names only its slot, so slots are resolved through the
-# binary's relative relocations. The engine's other step instance is not
-# gated. Both ecosystem_full and the benchmark binary are gated, since each
-# build instantiates step itself.
+# Codegen gate: Simulation::step must inline the engine's event queue. The
+# binary $1 may define no out-of-line mcs_simcore::engine::EventQueue<M>::push
+# or ::pop, since a step that called either out of line would need that
+# symbol. It must define some symbol naming EventQueue<EcosystemMsg> (its drop
+# glue), so a stripped or renamed build fails instead of passing vacuously.
+# With std's BinaryHeap the push/pop got a codegen unit of their own, and
+# unrelated edits or the checkout path decided whether step inlined them.
 check_step_codegen() {
-    local step_queue_calls
-    step_queue_calls="$(
-        {
-            objdump -R "$1" | awk '$2 == "R_X86_64_RELATIVE" { print "got", $1, $3 }'
-            nm -C --defined-only "$1" | awk '{ addr = $1; $1 = ""; $2 = ""; sub(/^ +/, ""); print "sym", addr, $0 }'
-            objdump -d -C "$1"
-        } | awk '
-            function hex(s) { sub(/^\*ABS\*\+/, "", s); sub(/^0x/, "", s); sub(/^0+/, "", s); return s }
-            $1 == "got" { got[hex($2)] = hex($3); next }
-            $1 == "sym" { addr = hex($2); $1 = ""; $2 = ""; sub(/^ +/, ""); sym[addr] = $0; next }
-            /^[0-9a-f]+ <mcs_simcore::engine::Simulation<M>::step>:$/ { on = 1; eco = 0; calls = 0; next }
-            on && /^$/ { if (eco) print calls; on = 0; next }
-            on && /EcosystemMsg/ { eco = 1 }
-            on && /call/ {
-                callee = $0
-                # A call through the GOT names only its slot: resolve it.
-                if (match($0, /# [0-9a-f]+ </)) {
-                    slot = substr($0, RSTART + 2, RLENGTH - 4)
-                    if (hex(slot) in got) callee = sym[got[hex(slot)]]
-                }
-                if (callee ~ /mcs_simcore::engine::EventQueue<M>::(push|pop)/) calls++
-            }
-            END { if (on && eco) print calls }
-        '
-    )"
-    if [ -z "$step_queue_calls" ]; then
-        echo "verify: FAIL — no EcosystemMsg Simulation::step body in $1" >&2
+    local symbols
+    symbols="$(nm -C --defined-only "$1")"
+    if ! grep -qF 'EventQueue<mcs_core::scenario::EcosystemMsg>' <<< "$symbols"; then
+        echo "verify: FAIL — $1 defines no EventQueue<EcosystemMsg> symbol" >&2
         exit 1
     fi
-    if grep -qv '^0$' <<< "$step_queue_calls"; then
-        echo "verify: FAIL — the EcosystemMsg Simulation::step in $1 calls EventQueue::push/pop out of line" >&2
+    if grep -E 'mcs_simcore::engine::EventQueue<M>::(push|pop)' <<< "$symbols" >&2; then
+        echo "verify: FAIL — $1 defines EventQueue::push/pop out of line" >&2
         exit 1
     fi
 }

@@ -154,7 +154,9 @@ fn portfolio_meets_or_beats_every_fixed_policy_at_seed_42() {
     }
 }
 
-/// FNV-1a over a rendered trace, via simcore's deterministic hasher.
+/// Digest of the rendered trace JSON under simcore's `FastHasher`, an
+/// FxHash-style multiply-rotate hash (not FNV-1a): a change to that hasher
+/// moves the pinned values.
 fn trace_digest(trace: &TraceBus) -> u64 {
     use std::hash::Hasher;
     let mut h = mcs_simcore::intern::FastHasher::default();

@@ -9,7 +9,9 @@
 use mcs::prelude::*;
 use std::hash::Hasher;
 
-/// FNV-1a over the rendered trace JSON via simcore's deterministic hasher.
+/// Digest of the rendered trace JSON under simcore's `FastHasher`, an
+/// FxHash-style multiply-rotate hash (not FNV-1a): a change to that hasher
+/// moves the pinned values.
 fn trace_digest(trace: &TraceBus) -> u64 {
     let json = trace.to_json_string();
     let mut h = mcs_simcore::intern::FastHasher::default();
