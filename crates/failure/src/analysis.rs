@@ -254,7 +254,10 @@ mod tests {
             };
             let ind = peak(&independent, "independent");
             let spc = peak(&space, "space");
-            assert!(spc >= 3 * ind, "seed {seed}: space-correlated peak {spc}, independent {ind}");
+            assert!(
+                spc >= 3 * ind,
+                "seed {seed}: space-correlated peak {spc}, independent {ind}"
+            );
         }
     }
 

@@ -6,13 +6,12 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace --bins --examples
 
-# Codegen gate: Simulation::step must inline the engine's event queue. The
-# binary $1 may define no out-of-line mcs_simcore::engine::EventQueue<M>::push
-# or ::pop, since a step that called either out of line would need that
-# symbol. It must define some symbol naming EventQueue<EcosystemMsg> (its drop
-# glue), so a stripped or renamed build fails instead of passing vacuously.
-# With std's BinaryHeap the push/pop got a codegen unit of their own, and
-# unrelated edits or the checkout path decided whether step inlined them.
+# Codegen gate: Simulation::step must inline the engine's event queue, and
+# whether it does can move with edits to unrelated code. The binary $1 may
+# define no out-of-line mcs_simcore::engine::EventQueue<M>::push or ::pop,
+# since a step that called either out of line would need that symbol. It
+# must define some symbol naming EventQueue<EcosystemMsg> (its drop glue), so
+# a stripped or renamed build fails instead of passing vacuously.
 check_step_codegen() {
     local symbols
     symbols="$(nm -C --defined-only "$1")"
