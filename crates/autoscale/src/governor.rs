@@ -1,19 +1,75 @@
-//! The autoscaling governor for composed simulations.
+//! The autoscaling governor for composed simulations, and the scaling
+//! decision it shares with the service simulator.
 //!
-//! Where [`crate::service::ServiceActor`] simulates a closed world (it
-//! invents its own demand from a rate function), the [`GovernorActor`]
-//! governs *another* actor in the same simulation: it receives
-//! [`GovernorMsg::Observe`] messages carrying the governed subsystem's
-//! measured demand and supply, consults an [`Autoscaler`], and applies
-//! capacity deltas back through a caller-provided callback — scale-ups
-//! after the configured provisioning delay, scale-downs immediately. This
-//! is the wiring the composed "ecosystem" scenario uses to autoscale the
-//! FaaS platform.
+//! [`GovernorActor`] governs *another* actor in the same simulation: it
+//! receives [`GovernorMsg::Observe`] messages carrying the governed
+//! subsystem's measured demand and supply, takes one scaling decision per
+//! observation, and applies capacity deltas back through a caller-provided
+//! callback: a scale-up `provisioning_delay_intervals` intervals after the
+//! decision (a [`GovernorMsg::Provisioned`] self-message), a scale-down
+//! immediately. This is the wiring the composed "ecosystem" scenario uses to
+//! autoscale the FaaS platform.
+//!
+//! The decision itself (demand history, [`AutoscaleObservation`], autoscaler
+//! call, clamp to `[min_instances, max_instances]`, `autoscale/decision`
+//! trace record) is the crate-private `ScalingStep`, which
+//! [`crate::service::simulate_service`] runs too. The two differ only in how
+//! a target becomes capacity.
 
 use crate::autoscalers::{AutoscaleObservation, Autoscaler};
 use crate::service::ServiceConfig;
 use mcs_simcore::engine::{Actor, Context, MessageEnvelope};
 use mcs_simcore::trace::Field;
+
+/// One autoscaling decision per interval: records the interval's demand,
+/// asks the autoscaler for a target, clamps it to the configured bounds and
+/// traces it as `autoscale/decision`.
+pub(crate) struct ScalingStep<'a> {
+    autoscaler: &'a mut dyn Autoscaler,
+    config: ServiceConfig,
+    history: Vec<f64>,
+}
+
+impl<'a> ScalingStep<'a> {
+    /// # Panics
+    /// Panics when the scaling interval of `config` is zero.
+    pub(crate) fn new(autoscaler: &'a mut dyn Autoscaler, config: ServiceConfig) -> Self {
+        assert!(!config.scaling_interval.is_zero(), "scaling interval must be positive");
+        ScalingStep { autoscaler, config, history: Vec::new() }
+    }
+
+    /// Decides on `demand` observed at `supply` active instances. Returns
+    /// the autoscaler's raw target and the target clamped to
+    /// `[min_instances, max_instances]`.
+    pub(crate) fn decide<M>(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        demand: f64,
+        supply: usize,
+    ) -> (usize, usize) {
+        self.history.push(demand);
+        // The history moves into the observation and back: no copy per call.
+        let obs = AutoscaleObservation {
+            interval_index: self.history.len() - 1,
+            demand_history: std::mem::take(&mut self.history),
+            supply,
+            intervals_per_day: self.config.intervals_per_day(),
+        };
+        let raw = self.autoscaler.decide(&obs);
+        self.history = obs.demand_history;
+        let target = raw.clamp(self.config.min_instances, self.config.max_instances);
+        ctx.emit_fields(
+            "autoscale",
+            "decision",
+            &[
+                ("demand", Field::F64(demand)),
+                ("supply", Field::U64(supply as u64)),
+                ("target", Field::U64(target as u64)),
+            ],
+        );
+        (raw, target)
+    }
+}
 
 /// The governor's message vocabulary.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,12 +86,6 @@ pub enum GovernorMsg {
     Provisioned(usize),
 }
 
-/// Governs another actor's capacity through an [`Autoscaler`].
-///
-/// The `apply` callback receives a signed instance delta: negative for
-/// immediate scale-down, positive when provisioned instances arrive. It
-/// runs inside the simulation, so it may send messages (typically to the
-/// governed actor).
 /// Callback applying a capacity delta to the governed actor.
 pub type CapacityDelta<'a, M> = Box<dyn FnMut(&mut Context<'_, M>, i64) + 'a>;
 
@@ -43,12 +93,15 @@ pub type CapacityDelta<'a, M> = Box<dyn FnMut(&mut Context<'_, M>, i64) + 'a>;
 /// governed actor (see [`GovernorActor::with_shedding`]).
 pub type ShedSignal<'a, M> = Box<dyn FnMut(&mut Context<'_, M>, bool) + 'a>;
 
+/// Governs another actor's capacity through an [`Autoscaler`].
+///
+/// The `apply` callback receives a signed instance delta: negative for
+/// immediate scale-down, positive when provisioned instances arrive. It
+/// runs inside the simulation, so it may send messages (typically to the
+/// governed actor).
 pub struct GovernorActor<'a, M> {
-    autoscaler: &'a mut dyn Autoscaler,
+    step: ScalingStep<'a>,
     config: ServiceConfig,
-    history: Vec<f64>,
-    interval_index: usize,
-    intervals_per_day: usize,
     in_flight: usize,
     apply: CapacityDelta<'a, M>,
     on_shed: Option<ShedSignal<'a, M>>,
@@ -65,15 +118,9 @@ impl<'a, M> GovernorActor<'a, M> {
         config: ServiceConfig,
         apply: impl FnMut(&mut Context<'_, M>, i64) + 'a,
     ) -> Self {
-        assert!(!config.scaling_interval.is_zero(), "scaling interval must be positive");
-        let interval_secs = config.scaling_interval.as_secs_f64();
-        let intervals_per_day = ((24.0 * 3600.0) / interval_secs).round().max(1.0) as usize;
         GovernorActor {
-            autoscaler,
+            step: ScalingStep::new(autoscaler, config),
             config,
-            history: Vec::new(),
-            interval_index: 0,
-            intervals_per_day,
             in_flight: 0,
             apply: Box::new(apply),
             on_shed: None,
@@ -103,25 +150,7 @@ impl<'a, M> GovernorActor<'a, M> {
     where
         M: MessageEnvelope<GovernorMsg>,
     {
-        self.history.push(demand);
-        let obs = AutoscaleObservation {
-            demand_history: self.history.clone(),
-            supply,
-            interval_index: self.interval_index,
-            intervals_per_day: self.intervals_per_day,
-        };
-        self.interval_index += 1;
-        let raw = self.autoscaler.decide(&obs);
-        let target = raw.clamp(self.config.min_instances, self.config.max_instances);
-        ctx.emit_fields(
-            "autoscale",
-            "decision",
-            &[
-                ("demand", Field::F64(demand)),
-                ("supply", Field::U64(supply as u64)),
-                ("target", Field::U64(target as u64)),
-            ],
-        );
+        let (raw, target) = self.step.decide(ctx, demand, supply);
         if let Some(on_shed) = self.on_shed.as_mut() {
             let over_capacity = raw > self.config.max_instances;
             if over_capacity != self.shedding {
@@ -144,9 +173,9 @@ impl<'a, M> GovernorActor<'a, M> {
                 self.config.scaling_interval * self.config.provisioning_delay_intervals as u64;
             ctx.send_self(delay, M::wrap(GovernorMsg::Provisioned(extra)));
         } else if target < supply {
-            // Scale-down is immediate.
-            let floor = self.config.min_instances.max(target);
-            (self.apply)(ctx, floor as i64 - supply as i64);
+            // Scale-down is immediate; the clamp keeps it at or above
+            // min_instances.
+            (self.apply)(ctx, target as i64 - supply as i64);
         }
     }
 
@@ -191,7 +220,6 @@ mod tests {
             provisioning_delay_intervals: 2,
             min_instances: 1,
             max_instances: 100,
-            ..Default::default()
         }
     }
 

@@ -32,7 +32,5 @@ pub mod prelude {
     };
     pub use crate::elasticity::{unserved_fraction, ElasticityMetrics};
     pub use crate::governor::{GovernorActor, GovernorMsg};
-    pub use crate::service::{
-        simulate_service, ServiceActor, ServiceConfig, ServiceMsg, ServiceOutcome,
-    };
+    pub use crate::service::{simulate_service, ServiceConfig, ServiceOutcome};
 }

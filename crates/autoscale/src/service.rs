@@ -7,29 +7,32 @@
 //! elasticity metrics, SLO violations, and cost — the full row set of the
 //! autoscaler comparison the paper cites (C7, \[43\]).
 //!
-//! The simulation is an engine actor: [`ServiceActor`] advances one scaling
-//! interval per [`ServiceMsg::Tick`] on the shared
-//! [`Simulation`] kernel, emitting an
-//! `"autoscale"`/`"interval"` trace record each tick;
-//! [`simulate_service`] is the thin single-actor wrapper.
+//! [`simulate_service`] runs one private engine actor on its own
+//! [`Simulation`]: one tick per scaling interval, each taking the same
+//! scaling decision as [`crate::governor::GovernorActor`] (and tracing it as
+//! `autoscale/decision`), then advancing the service's provisioning
+//! pipeline.
 
-use crate::autoscalers::{AutoscaleObservation, Autoscaler};
+use crate::autoscalers::Autoscaler;
 use crate::elasticity::{unserved_fraction, ElasticityMetrics};
-use mcs_simcore::engine::{Actor, Context, MessageEnvelope, Simulation};
+use crate::governor::ScalingStep;
+use mcs_simcore::engine::{Actor, Context, Simulation};
 use mcs_simcore::time::{SimDuration, SimTime};
-use mcs_simcore::trace::Field;
 
-/// Parameters of the elastic service.
+/// Requests per second one instance serves: 100 requests/s at its SLO, run
+/// at a 70 % utilization target.
+const INSTANCE_RPS: f64 = 70.0;
+
+/// Autoscaling cadence and bounds, shared by [`simulate_service`] and
+/// [`crate::governor::GovernorActor`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceConfig {
-    /// Requests per second one instance can serve at its SLO.
-    pub per_instance_rps: f64,
-    /// Target utilization headroom: demand is computed so instances run at
-    /// this fraction of capacity (≤ 1.0).
-    pub target_utilization: f64,
     /// Length of one scaling interval.
     pub scaling_interval: SimDuration,
-    /// Intervals between asking for an instance and it serving traffic.
+    /// Provisioning delay d, in scaling intervals. [`simulate_service`]
+    /// counts a scale-up decided at interval i in the supply of interval
+    /// i + d + 2 onwards; [`crate::governor::GovernorActor`] applies it
+    /// d intervals after the decision.
     pub provisioning_delay_intervals: usize,
     /// Floor on instances.
     pub min_instances: usize,
@@ -40,13 +43,19 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            per_instance_rps: 100.0,
-            target_utilization: 0.7,
             scaling_interval: SimDuration::from_secs(60),
             provisioning_delay_intervals: 2,
             min_instances: 1,
             max_instances: 1_000,
         }
+    }
+}
+
+impl ServiceConfig {
+    /// Scaling intervals per day (at least 1), the period of history-based
+    /// (Hist) prediction.
+    pub fn intervals_per_day(&self) -> usize {
+        ((24.0 * 3600.0) / self.scaling_interval.as_secs_f64()).round().max(1.0) as usize
     }
 }
 
@@ -67,72 +76,46 @@ pub struct ServiceOutcome {
     pub instance_hours: f64,
 }
 
-/// The elastic service's message vocabulary: one `Tick` per scaling
-/// interval, self-scheduled.
+/// Advance one scaling interval (self-scheduled, one per interval).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServiceMsg {
-    /// Advance one scaling interval: observe demand, consult the
-    /// autoscaler, advance the provisioning pipeline.
-    Tick,
-}
+struct Tick;
 
-/// The elastic service as a simulation actor.
-///
-/// Each delivered `Tick` executes one scaling interval at the tick's
-/// virtual instant; the actor re-arms itself until the configured number of
-/// intervals has elapsed. Extract results with [`ServiceActor::outcome`]
-/// after the simulation is dropped.
-pub struct ServiceActor<'a> {
+/// The elastic service as a simulation actor: each delivered `Tick` runs one
+/// scaling interval at the tick's instant and re-arms itself until
+/// `intervals` intervals have elapsed.
+struct ServiceActor<'a> {
     rate: &'a dyn Fn(SimTime) -> f64,
     config: ServiceConfig,
-    autoscaler: &'a mut dyn Autoscaler,
+    step: ScalingStep<'a>,
     intervals: usize,
-    intervals_per_day: usize,
-    capacity: f64,
-    interval: usize,
     demand: Vec<f64>,
     supply: Vec<f64>,
-    history: Vec<f64>,
     active: usize,
+    /// Instances ordered per remaining interval of delay; slot 0 arrives at
+    /// the next tick.
     pipeline: Vec<usize>,
 }
 
 impl<'a> ServiceActor<'a> {
-    /// Builds the actor for `intervals` scaling intervals of `config`.
-    ///
-    /// # Panics
-    /// Panics when the scaling interval is zero or `intervals` is zero.
-    pub fn new(
+    fn new(
         rate: &'a dyn Fn(SimTime) -> f64,
         config: ServiceConfig,
         autoscaler: &'a mut dyn Autoscaler,
         intervals: usize,
     ) -> Self {
-        assert!(!config.scaling_interval.is_zero(), "scaling interval must be positive");
-        assert!(intervals > 0, "horizon must cover at least one interval");
-        let interval_secs = config.scaling_interval.as_secs_f64();
-        let intervals_per_day = ((24.0 * 3600.0) / interval_secs).round().max(1.0) as usize;
-        let capacity = config.per_instance_rps * config.target_utilization.clamp(0.01, 1.0);
-        let active = config.min_instances.max(1);
-        let pipeline = vec![0; config.provisioning_delay_intervals + 1];
         ServiceActor {
             rate,
             config,
-            autoscaler,
+            step: ScalingStep::new(autoscaler, config),
             intervals,
-            intervals_per_day,
-            capacity,
-            interval: 0,
             demand: Vec::with_capacity(intervals),
             supply: Vec::with_capacity(intervals),
-            history: Vec::new(),
-            active,
-            pipeline,
+            active: config.min_instances.max(1),
+            pipeline: vec![0; config.provisioning_delay_intervals + 1],
         }
     }
 
-    /// The measured outcome; call after the simulation has run.
-    pub fn outcome(&self) -> ServiceOutcome {
+    fn outcome(&self) -> ServiceOutcome {
         let interval_secs = self.config.scaling_interval.as_secs_f64();
         let elasticity = ElasticityMetrics::compute(&self.demand, &self.supply)
             .expect("demand/supply series are non-empty and aligned");
@@ -152,28 +135,18 @@ impl<'a> ServiceActor<'a> {
             supply: self.supply.clone(),
         }
     }
+}
 
-    /// One scaling interval at the tick's instant.
-    fn tick<M: MessageEnvelope<ServiceMsg>>(&mut self, ctx: &mut Context<'_, M>) {
-        let i = self.interval;
+impl Actor<Tick> for ServiceActor<'_> {
+    fn handle(&mut self, ctx: &mut Context<'_, Tick>, _tick: Tick) {
         // Demand of this interval, from the mid-interval rate.
         let mid = ctx.now() + self.config.scaling_interval / 2;
-        let d = ((self.rate)(mid) / self.capacity).max(0.0);
+        let d = ((self.rate)(mid) / INSTANCE_RPS).max(0.0);
         self.demand.push(d);
         self.supply.push(self.active as f64);
-        self.history.push(d);
 
         // Autoscaler decides for the next interval.
-        let obs = AutoscaleObservation {
-            demand_history: self.history.clone(),
-            supply: self.active,
-            interval_index: i,
-            intervals_per_day: self.intervals_per_day,
-        };
-        let target = self
-            .autoscaler
-            .decide(&obs)
-            .clamp(self.config.min_instances, self.config.max_instances);
+        let (_, target) = self.step.decide(ctx, d, self.active);
 
         // Advance the provisioning pipeline: slot 0 becomes active.
         let arriving = self.pipeline.remove(0);
@@ -182,43 +155,22 @@ impl<'a> ServiceActor<'a> {
         let in_flight: usize = self.pipeline.iter().sum();
 
         if target > self.active + in_flight {
-            let extra = target - self.active - in_flight;
             let last = self.pipeline.len() - 1;
-            self.pipeline[last] += extra;
+            self.pipeline[last] += target - self.active - in_flight;
         } else if target < self.active {
             // Scale-down is immediate (instances stop at interval edge).
-            self.active = target.max(self.config.min_instances);
+            self.active = target;
         }
 
-        ctx.emit_fields(
-            "autoscale",
-            "interval",
-            &[
-                ("demand", Field::F64(d)),
-                ("supply", Field::F64(self.supply[i])),
-                ("target", Field::U64(target as u64)),
-            ],
-        );
-
-        self.interval += 1;
-        if self.interval < self.intervals {
-            ctx.send_self(self.config.scaling_interval, M::wrap(ServiceMsg::Tick));
+        if self.demand.len() < self.intervals {
+            ctx.send_self(self.config.scaling_interval, Tick);
         }
-    }
-}
-
-impl<M: MessageEnvelope<ServiceMsg>> Actor<M> for ServiceActor<'_> {
-    fn handle(&mut self, ctx: &mut Context<'_, M>, msg: M) {
-        let Some(ServiceMsg::Tick) = msg.unwrap() else { return };
-        self.tick(ctx);
     }
 }
 
 /// Runs `autoscaler` against the request-rate function `rate` (requests per
-/// second at instant `t`) over `[0, horizon)`.
-///
-/// A thin wrapper: builds a single-actor [`Simulation`] around
-/// [`ServiceActor`] and runs it to quiescence.
+/// second at instant `t`) over `[0, horizon)`, one scaling decision per
+/// interval on a single-actor [`Simulation`].
 ///
 /// # Panics
 /// Panics when the scaling interval is zero or the horizon is empty.
@@ -231,10 +183,11 @@ pub fn simulate_service(
     assert!(!config.scaling_interval.is_zero(), "scaling interval must be positive");
     let intervals =
         (horizon.as_secs_f64() / config.scaling_interval.as_secs_f64()).ceil() as usize;
+    assert!(intervals > 0, "horizon must cover at least one interval");
     let mut actor = ServiceActor::new(rate, config, autoscaler, intervals);
-    let mut sim: Simulation<'_, ServiceMsg> = Simulation::new(0);
+    let mut sim: Simulation<'_, Tick> = Simulation::new(0);
     let id = sim.add_actor(&mut actor);
-    sim.schedule(SimTime::ZERO, id, ServiceMsg::Tick);
+    sim.schedule(SimTime::ZERO, id, Tick);
     sim.run();
     drop(sim);
     actor.outcome()
@@ -247,8 +200,6 @@ mod tests {
 
     fn config() -> ServiceConfig {
         ServiceConfig {
-            per_instance_rps: 100.0,
-            target_utilization: 1.0,
             scaling_interval: SimDuration::from_secs(60),
             provisioning_delay_intervals: 1,
             min_instances: 1,
@@ -258,7 +209,7 @@ mod tests {
 
     #[test]
     fn constant_rate_reaches_steady_state() {
-        let rate = |_t: SimTime| 500.0; // needs 5 instances
+        let rate = |_t: SimTime| 5.0 * INSTANCE_RPS;
         let mut scaler = React { headroom: 0.0 };
         let out =
             simulate_service(&rate, SimTime::from_secs(3600), config(), &mut scaler);
@@ -270,7 +221,7 @@ mod tests {
 
     #[test]
     fn static_overprovision_serves_everything_expensively() {
-        let rate = |_t: SimTime| 200.0; // needs 2
+        let rate = |_t: SimTime| 2.0 * INSTANCE_RPS;
         let mut scaler = StaticAutoscaler(20);
         let out =
             simulate_service(&rate, SimTime::from_secs(3600), config(), &mut scaler);
@@ -284,7 +235,7 @@ mod tests {
 
     #[test]
     fn static_underprovision_starves() {
-        let rate = |_t: SimTime| 1_000.0; // needs 10
+        let rate = |_t: SimTime| 10.0 * INSTANCE_RPS;
         let mut scaler = StaticAutoscaler(2);
         let out =
             simulate_service(&rate, SimTime::from_secs(3600), config(), &mut scaler);
@@ -295,7 +246,8 @@ mod tests {
     #[test]
     fn provisioning_delay_creates_lag() {
         // A step function: quiet, then a jump.
-        let rate = |t: SimTime| if t < SimTime::from_secs(1800) { 100.0 } else { 1_000.0 };
+        let rate =
+            |t: SimTime| INSTANCE_RPS * if t < SimTime::from_secs(1800) { 1.0 } else { 10.0 };
         let mut cfg = config();
         cfg.provisioning_delay_intervals = 5;
         let mut scaler = React { headroom: 0.0 };
@@ -309,7 +261,8 @@ mod tests {
 
     #[test]
     fn scale_down_is_immediate() {
-        let rate = |t: SimTime| if t < SimTime::from_secs(1800) { 1_000.0 } else { 100.0 };
+        let rate =
+            |t: SimTime| INSTANCE_RPS * if t < SimTime::from_secs(1800) { 10.0 } else { 1.0 };
         let mut scaler = React { headroom: 0.0 };
         let out =
             simulate_service(&rate, SimTime::from_secs(3600), config(), &mut scaler);
@@ -332,18 +285,32 @@ mod tests {
     }
 
     #[test]
-    fn service_emits_interval_trace() {
-        let rate = |_t: SimTime| 300.0;
+    fn scale_up_counts_in_supply_from_interval_delay_plus_two() {
+        let rate = |_t: SimTime| 5.0 * INSTANCE_RPS;
+        for (delay, first) in [(0, 2), (1, 3), (2, 4), (5, 7)] {
+            let mut cfg = config();
+            cfg.provisioning_delay_intervals = delay;
+            let mut scaler = StaticAutoscaler(5);
+            let out = simulate_service(&rate, SimTime::from_secs(1200), cfg, &mut scaler);
+            let at = out.supply.iter().position(|&s| s == 5.0);
+            assert_eq!(at, Some(first), "delay {delay}: {:?}", out.supply);
+            assert!(out.supply[..first].iter().all(|&s| s == 1.0), "delay {delay}");
+        }
+    }
+
+    #[test]
+    fn service_traces_one_decision_per_interval() {
+        let rate = |_t: SimTime| 3.0 * INSTANCE_RPS;
         let mut scaler = React { headroom: 0.0 };
         let mut actor = ServiceActor::new(&rate, config(), &mut scaler, 10);
-        let mut sim: Simulation<'_, ServiceMsg> = Simulation::new(0);
+        let mut sim: Simulation<'_, Tick> = Simulation::new(0);
         let id = sim.add_actor(&mut actor);
-        sim.schedule(SimTime::ZERO, id, ServiceMsg::Tick);
+        sim.schedule(SimTime::ZERO, id, Tick);
         sim.run();
-        assert_eq!(sim.trace().count("autoscale", "interval"), 10);
+        assert_eq!(sim.trace().count("autoscale", "decision"), 10);
         // Ticks land on interval edges.
         assert_eq!(sim.trace().events()[1].at, SimTime::from_secs(60));
-        let demand = sim.trace().series("autoscale", "interval", "demand");
+        let demand = sim.trace().series("autoscale", "decision", "demand");
         assert!(demand.iter().all(|(_, d)| (*d - 3.0).abs() < 1e-9));
     }
 }

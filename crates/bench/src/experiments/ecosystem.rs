@@ -145,8 +145,7 @@ impl Experiment for EcosystemComposed {
         // Boxed scalers are not `Send`, so each worker rebuilds the portfolio
         // and takes its scaler by index; rows come back in portfolio order
         // whatever the worker count.
-        let intervals_per_day =
-            (86_400.0 / faas_cfg.service.scaling_interval.as_secs_f64()).round() as usize;
+        let intervals_per_day = faas_cfg.service.intervals_per_day();
         let portfolio_len = standard_autoscalers(intervals_per_day).len();
         let rows: Vec<Vec<String>> = par::run_indexed(portfolio_len, |i| {
             let scaler = standard_autoscalers(intervals_per_day)

@@ -38,7 +38,6 @@ fn config(seed: u64, resilience: ResilienceConfig) -> ScenarioConfig {
             provisioning_delay_intervals: 1,
             min_instances: 6,
             max_instances: 12,
-            ..ServiceConfig::default()
         },
         congestion: Some(CongestionConfig { knee: 0.8, max_penalty: 2.5 }),
         ..FaasConfig::default()

@@ -62,7 +62,6 @@ pub fn scale_config(seed: u64, factor: f64, streaming: bool) -> ScenarioConfig {
                 provisioning_delay_intervals: 1,
                 min_instances: 1,
                 max_instances: 512,
-                ..ServiceConfig::default()
             },
             ..FaasConfig::default()
         })

@@ -171,7 +171,6 @@ impl Default for FaasConfig {
                 provisioning_delay_intervals: 1,
                 min_instances: 1,
                 max_instances: 64,
-                ..ServiceConfig::default()
             },
             congestion: None,
         }

@@ -289,23 +289,27 @@ impl FaasPlatform {
     ///
     /// This is a thin wrapper: it registers a single [`FaasActor`] in a
     /// [`Simulation`], schedules one [`FaasMsg::Invoke`] per invocation, and
-    /// runs to quiescence. The latencies are the ones the actor's response
-    /// hook sees, in invocation order.
+    /// runs to quiescence. The latencies are the `latency_secs` of the
+    /// run's `faas/invoke` trace records, in invocation order.
     ///
     /// # Panics
     /// Panics when an invocation names an unknown function.
     pub fn run(&mut self, mut invocations: Vec<Invocation>) -> (PlatformReport, Option<Summary>) {
         invocations.sort_by_key(|i| i.at);
         let seed = self.seed;
-        let mut latencies = Vec::with_capacity(invocations.len());
-        let mut actor =
-            FaasActor::new(self).with_response_hook(|_, latency| latencies.push(latency));
+        let mut actor = FaasActor::new(self);
         let mut sim: Simulation<'_, FaasMsg> = Simulation::new(seed);
         let id = sim.add_actor(&mut actor);
         for inv in invocations {
             sim.schedule(inv.at, id, FaasMsg::Invoke { function: inv.function });
         }
         sim.run();
+        let latencies: Vec<f64> = sim
+            .trace()
+            .series("faas", "invoke", "latency_secs")
+            .into_iter()
+            .map(|(_, latency)| latency)
+            .collect();
         drop(sim);
         drop(actor);
         let report = self.finish();

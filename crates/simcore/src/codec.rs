@@ -1,10 +1,10 @@
-//! Hermetic serialization: an in-house JSON codec and byte-buffer writer.
+//! Hermetic serialization: an in-house JSON codec.
 //!
 //! The MCS workspace builds with zero external dependencies (reproducibility
 //! as an essential service, paper principle P8), so this module provides what
-//! `serde`/`serde_json`/`bytes` used to: a JSON document model ([`Json`]), a
-//! deterministic encoder, a recursive-descent parser, the [`ToJson`] /
-//! [`FromJson`] trait pair, and a growable [`ByteWriter`].
+//! `serde`/`serde_json` used to: a JSON document model ([`Json`]), a
+//! deterministic encoder, a recursive-descent parser, and the [`ToJson`] /
+//! [`FromJson`] trait pair.
 //!
 //! Derive-style boilerplate is generated by the [`impl_json!`](crate::impl_json)
 //! macro for structs, newtypes, unit enums, and struct-variant enums.
@@ -784,90 +784,6 @@ macro_rules! impl_json {
     };
 }
 
-/// A growable little-endian byte buffer, the in-house replacement for the
-/// `bytes` crate's `BytesMut`/`BufMut` pair.
-///
-/// # Examples
-/// ```
-/// use mcs_simcore::codec::ByteWriter;
-/// let mut w = ByteWriter::new();
-/// w.put_slice(b"GWA");
-/// w.put_u8(b'\n');
-/// w.put_u32_le(7);
-/// assert_eq!(w.len(), 8);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ByteWriter {
-    buf: Vec<u8>,
-}
-
-impl ByteWriter {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        ByteWriter::default()
-    }
-
-    /// An empty buffer with pre-reserved capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
-        ByteWriter { buf: Vec::with_capacity(capacity) }
-    }
-
-    /// Appends one byte.
-    pub fn put_u8(&mut self, b: u8) {
-        self.buf.push(b);
-    }
-
-    /// Appends a byte slice.
-    pub fn put_slice(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Appends a string's UTF-8 bytes.
-    pub fn put_str(&mut self, s: &str) {
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Appends a `u32` in little-endian order.
-    pub fn put_u32_le(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64` in little-endian order.
-    pub fn put_u64_le(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f64` in little-endian IEEE-754 order.
-    pub fn put_f64_le(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// The written bytes.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Consumes the writer, returning the bytes.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Clears the buffer, keeping capacity.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1017,23 +933,6 @@ mod tests {
         let v: Vec<(u64, f64)> = vec![(1, 0.5), (2, 1.5)];
         let text = to_string(&v);
         assert_eq!(from_str::<Vec<(u64, f64)>>(&text).unwrap(), v);
-    }
-
-    #[test]
-    fn byte_writer_layout() {
-        let mut w = ByteWriter::with_capacity(16);
-        w.put_u8(1);
-        w.put_slice(&[2, 3]);
-        w.put_str("x");
-        w.put_u32_le(0x0605_0403);
-        w.put_u64_le(0x01);
-        w.put_f64_le(1.0);
-        assert_eq!(w.len(), 1 + 2 + 1 + 4 + 8 + 8);
-        assert_eq!(&w.as_slice()[..4], &[1, 2, 3, b'x']);
-        assert_eq!(&w.as_slice()[4..8], &[3, 4, 5, 6]);
-        assert!(!w.is_empty());
-        let v = w.into_vec();
-        assert_eq!(v.len(), 24);
     }
 
     #[test]

@@ -255,7 +255,6 @@ pub struct Context<'a, M> {
     cancelled: &'a mut FastHashSet<u64>,
     trace: &'a mut TraceBus,
     rng: &'a mut RngStream,
-    stop_requested: &'a mut bool,
 }
 
 impl<'a, M> Context<'a, M> {
@@ -321,11 +320,6 @@ impl<'a, M> Context<'a, M> {
     /// behaviour should hold their own [`RngStream`] instead).
     pub fn rng(&mut self) -> &mut RngStream {
         self.rng
-    }
-
-    /// Asks the engine to stop after the current message is handled.
-    pub fn stop(&mut self) {
-        *self.stop_requested = true;
     }
 }
 
@@ -508,7 +502,6 @@ impl<'a, M> Simulation<'a, M> {
 
         let mut outbox = std::mem::take(&mut self.outbox_scratch);
         debug_assert!(outbox.is_empty());
-        let mut stop = false;
         {
             let actor = &mut self.actors[ev.target.0];
             let mut ctx = Context {
@@ -519,7 +512,6 @@ impl<'a, M> Simulation<'a, M> {
                 cancelled: &mut self.cancelled,
                 trace: &mut self.trace,
                 rng: &mut self.rng,
-                stop_requested: &mut stop,
             };
             actor.handle(&mut ctx, ev.msg);
         }
@@ -528,11 +520,11 @@ impl<'a, M> Simulation<'a, M> {
             self.queue.push(Scheduled { at, seq, target, msg });
         }
         self.outbox_scratch = outbox;
-        !stop
+        true
     }
 
-    /// Runs until the queue drains, the horizon passes, or an actor stops the
-    /// run. Returns the number of events delivered.
+    /// Runs until the queue drains or the horizon passes. Returns the number
+    /// of events delivered.
     pub fn run(&mut self) -> u64 {
         let start = self.events_handled;
         while self.step() {}
@@ -559,7 +551,7 @@ impl<'a, M> Simulation<'a, M> {
             match self.queue.peek() {
                 Some(head) if head.at <= until => {
                     if !self.step() {
-                        // Stopped by an actor or clipped by the horizon.
+                        // Clipped by the horizon.
                         return self.events_handled - start;
                     }
                 }
@@ -724,22 +716,9 @@ mod tests {
         assert_eq!(sim.now(), SimTime::from_secs(10));
     }
 
-    struct Stopper;
-    impl Actor<Msg> for Stopper {
-        fn handle(&mut self, ctx: &mut Context<'_, Msg>, _msg: Msg) {
-            ctx.stop();
-        }
-    }
-
-    #[test]
-    fn actor_can_stop_simulation() {
-        let mut sim = Simulation::new(1);
-        let s = sim.add_actor(Stopper);
-        sim.schedule(SimTime::ZERO, s, Msg::Fwd);
-        sim.schedule(SimTime::from_secs(1), s, Msg::Fwd);
-        sim.run();
-        assert_eq!(sim.events_handled(), 1);
-        assert_eq!(sim.pending(), 1);
+    struct Idle;
+    impl Actor<Msg> for Idle {
+        fn handle(&mut self, _ctx: &mut Context<'_, Msg>, _msg: Msg) {}
     }
 
     #[test]
@@ -773,7 +752,7 @@ mod tests {
     #[test]
     fn try_schedule_rejects_bad_requests() {
         let mut sim: Simulation<'_, Msg> = Simulation::new(1);
-        let id = sim.add_actor(Stopper);
+        let id = sim.add_actor(Idle);
         assert!(sim.try_schedule(SimTime::from_secs(1), id, Msg::Fwd).is_ok());
         let unknown = ActorId(99);
         assert_eq!(
@@ -844,7 +823,7 @@ mod tests {
     #[test]
     fn run_until_respects_horizon() {
         let mut sim: Simulation<'_, Msg> = Simulation::new(1);
-        let _ = sim.add_actor(Stopper);
+        let _ = sim.add_actor(Idle);
         sim.set_horizon(SimTime::from_secs(4));
         sim.run_until(SimTime::from_secs(10));
         assert_eq!(sim.now(), SimTime::from_secs(4));

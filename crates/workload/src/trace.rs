@@ -7,7 +7,7 @@
 
 use crate::task::{Job, JobId, JobKind, Task, TaskId, UserId};
 use mcs_infra::resource::ResourceVector;
-use mcs_simcore::codec::{self, ByteWriter};
+use mcs_simcore::codec;
 use mcs_simcore::error::McsError;
 use mcs_simcore::metrics::Summary;
 use mcs_simcore::time::{SimDuration, SimTime};
@@ -104,12 +104,12 @@ impl Trace {
     /// # Errors
     /// Infallible today (kept fallible for format evolution).
     pub fn to_jsonl(&self) -> Result<Vec<u8>, McsError> {
-        let mut buf = ByteWriter::with_capacity(self.records.len() * 96);
+        let mut buf = Vec::with_capacity(self.records.len() * 96);
         for r in &self.records {
-            buf.put_str(&codec::to_string(r));
-            buf.put_u8(b'\n');
+            buf.extend_from_slice(codec::to_string(r).as_bytes());
+            buf.push(b'\n');
         }
-        Ok(buf.into_vec())
+        Ok(buf)
     }
 
     /// Parses JSON-lines produced by [`Trace::to_jsonl`] (blank lines are

@@ -152,7 +152,7 @@ fn autoscalers_beat_static_minimum() {
     let horizon = SimTime::from_secs(2 * 86_400);
     let mut static_min = StaticAutoscaler(1);
     let baseline = simulate_service(&rate, horizon, config, &mut static_min);
-    for mut scaler in standard_autoscalers(24 * 60) {
+    for mut scaler in standard_autoscalers(config.intervals_per_day()) {
         let out = simulate_service(&rate, horizon, config, scaler.as_mut());
         assert!(
             out.unserved_fraction < baseline.unserved_fraction / 2.0,
